@@ -12,11 +12,15 @@
 // dirty rows, falling back to a full pass when the dirty fraction makes
 // re-propagation pointless.
 //
-// The incremental path is bit-identical to GcnModel::infer on the updated
-// tensors: spmm_rows / gemm / ReLU all preserve the per-row accumulation
-// order of their whole-graph counterparts, so recomputing a subset of rows
-// yields exactly the bits a full pass would (pinned by
-// tests/incremental_test.cpp).
+// The engine only plans row sets and owns the cache; the computation is
+// GcnModel's forward core. refresh() is the whole-graph forward with an
+// embeddings sink (GcnModel::infer_embeddings); update() runs
+// GcnModel::layer_step on the dirty rows of each layer, then
+// GcnModel::fc_head. A row-set layer step reproduces the all-rows bits,
+// so the incremental path is bit-identical to GcnModel::infer on the
+// updated tensors (pinned by tests/incremental_test.cpp). Like the sharded
+// engine it computes fp32 even for an int8 model
+// (GcnModel::count_fp32_fallback).
 
 #include <cstddef>
 #include <cstdint>
@@ -72,8 +76,8 @@ class IncrementalGcnEngine {
   explicit IncrementalGcnEngine(const GcnModel& model,
                                 IncrementalGcnOptions options = {});
 
-  /// Full whole-graph forward (same kernels and order as
-  /// GcnModel::infer), caching every intermediate embedding.
+  /// Full whole-graph fp32 forward (GcnModel::infer_embeddings), caching
+  /// every intermediate embedding.
   const Matrix& refresh(const GraphTensors& tensors);
 
   /// Re-propagates only `dirty` rows (a DirtyConeTracker::affected set for

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -80,18 +81,95 @@ void GcnModel::install_quantized(std::vector<QuantizedLinear> encoders,
   gauge.set(static_cast<std::int64_t>(precision_));
 }
 
-void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
-                           ForwardWorkspace& ws, Matrix& out) const {
-  if (cache == nullptr && precision_ == Precision::kInt8) {
-    // The int8 tier serves inference only; the training forward (which
-    // must cache fp32 activations for backward) always runs fp32.
-    run_forward_int8(graph, ws, out);
-    return;
+void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
+                          const CsrMatrix& succ, const Matrix& x,
+                          const std::vector<std::uint32_t>* rows,
+                          Precision precision, ForwardWorkspace& ws,
+                          Matrix& out) const {
+  const bool int8 = precision == Precision::kInt8;
+  // Aggregation (Eq. 1): G = X + w_pr * P*X + w_su * S*X.
+  if (rows != nullptr) {
+    if (int8) {
+      throw std::invalid_argument("layer_step: row subsets are fp32 only");
+    }
+    pred.spmm_rows(*rows, x, ws.pred_sum);
+    succ.spmm_rows(*rows, x, ws.succ_sum);
+    gather_rows(x, *rows, ws.aggregated);
+  } else if (int8) {
+    // Activations stay fp32; qact encodes X for the two SpMMs and the
+    // identity term reuses the exact fp32 X, which keeps the quantization
+    // error per layer to one activation round-trip.
+    quantize_tensor(x, ws.qact);
+    spmm_q8(pred, ws.qact, ws.pred_sum);
+    spmm_q8(succ, ws.qact, ws.succ_sum);
+    ws.aggregated.copy_from(x);
+  } else {
+    pred.spmm(x, ws.pred_sum);
+    succ.spmm(x, ws.succ_sum);
+    ws.aggregated.copy_from(x);
   }
-  TraceSpan span(cache ? "gcn.forward" : "gcn.infer");
+
+  // Encoding: E = ReLU(G * W + b), fused into one output pass.
+  if (int8) {
+    // axpy_exact, not Matrix::axpy: the SimdOps axpy contracts to FMA
+    // only on the vector targets, which would break the int8 tier's
+    // cross-target bit-identity (quant.h file comment).
+    axpy_exact(ws.aggregated, w_pr(), ws.pred_sum);
+    axpy_exact(ws.aggregated, w_su(), ws.succ_sum);
+    quantize_tensor(ws.aggregated, ws.qagg);
+    quantized_linear_forward(ws.qagg, qencoders_.at(d), encoders_[d].bias.value,
+                             out, /*relu=*/true);
+  } else {
+    ws.aggregated.axpy(w_pr(), ws.pred_sum);
+    ws.aggregated.axpy(w_su(), ws.succ_sum);
+    encoders_[d].forward_relu(ws.aggregated, out);
+  }
+}
+
+Matrix& GcnModel::fc_head(Matrix& x, Matrix& y, Precision precision,
+                          ForwardWorkspace& ws,
+                          std::vector<Matrix>* inputs) const {
+  if (inputs != nullptr) inputs->resize(fc_.size());
+  Matrix* in = &x;
+  Matrix* out = &y;
+  for (std::size_t i = 0; i < fc_.size(); ++i) {
+    // Fused ReLU between hidden layers; the final layer emits raw logits.
+    const bool relu = i + 1 < fc_.size();
+    if (inputs != nullptr) (*inputs)[i].copy_from(*in);
+    if (precision == Precision::kInt8) {
+      quantize_tensor(*in, ws.qact);
+      quantized_linear_forward(ws.qact, qfc_.at(i), fc_[i].bias.value, *out,
+                               relu);
+    } else if (relu) {
+      fc_[i].forward_relu(*in, *out);
+    } else {
+      fc_[i].forward(*in, *out);
+    }
+    std::swap(in, out);
+  }
+  return *in;
+}
+
+void GcnModel::count_fp32_fallback() const {
+  if (precision_ != Precision::kInt8) return;
+  static Counter& fallbacks =
+      StatsRegistry::instance().counter("quant.fallback");
+  fallbacks.add();
+}
+
+void GcnModel::run_forward(const GraphTensors& graph, Precision precision,
+                           std::vector<Matrix>* embeddings, Cache* cache,
+                           ForwardWorkspace& ws, Matrix& out) const {
+  TraceSpan span(cache != nullptr ? "gcn.forward"
+                 : precision == Precision::kInt8 ? "gcn.infer_int8"
+                                                 : "gcn.infer");
   span.arg("nodes", static_cast<double>(graph.node_count()));
-  const float wp = w_pr();
-  const float wsu = w_su();
+  if (cache != nullptr) {
+    embeddings = &cache->embeddings;
+    cache->aggregated.resize(encoders_.size());
+    cache->pred_sums.resize(encoders_.size());
+    cache->succ_sums.resize(encoders_.size());
+  }
 
   // Ping-pong the activations through the workspace: after one warm-up
   // pass per graph, the whole forward allocates nothing. All internal
@@ -100,124 +178,48 @@ void GcnModel::run_forward(const GraphTensors& graph, Cache* cache,
   Matrix* emb = &ws.ping;
   Matrix* alt = &ws.pong;
   gather_compute_rows(graph, graph.features, *emb);
-  if (cache) {
-    cache->embeddings.resize(encoders_.size() + 1);
-    cache->aggregated.resize(encoders_.size());
-    cache->pred_sums.resize(encoders_.size());
-    cache->succ_sums.resize(encoders_.size());
-    cache->fc_inputs.resize(fc_.size());
-    cache->fc_outputs.resize(fc_.size() - 1);
-    cache->embeddings[0].copy_from(*emb);
+  if (embeddings != nullptr) {
+    embeddings->resize(encoders_.size() + 1);
+    (*embeddings)[0].copy_from(*emb);
   }
-
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    // Aggregation (Eq. 1): G = E + w_pr * P*E + w_su * S*E.
-    graph.pred.spmm(*emb, ws.pred_sum);
-    graph.succ.spmm(*emb, ws.succ_sum);
-    ws.aggregated.copy_from(*emb);
-    ws.aggregated.axpy(wp, ws.pred_sum);
-    ws.aggregated.axpy(wsu, ws.succ_sum);
-
-    // Encoding: E = ReLU(G * W + b), fused into one output pass.
-    encoders_[d].forward_relu(ws.aggregated, *alt);
-
-    if (cache) {
+    layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *alt);
+    if (embeddings != nullptr) (*embeddings)[d + 1].copy_from(*alt);
+    if (cache != nullptr) {
       cache->pred_sums[d].copy_from(ws.pred_sum);
       cache->succ_sums[d].copy_from(ws.succ_sum);
       cache->aggregated[d].copy_from(ws.aggregated);
-      cache->embeddings[d + 1].copy_from(*alt);
     }
     std::swap(emb, alt);
   }
-
-  // FC head: fused ReLU between hidden layers; the final layer writes
-  // the raw logits straight into `out`.
-  for (std::size_t i = 0; i < fc_.size(); ++i) {
-    if (cache) cache->fc_inputs[i].copy_from(*emb);
-    if (i + 1 < fc_.size()) {
-      fc_[i].forward_relu(*emb, *alt);
-      if (cache) cache->fc_outputs[i].copy_from(*alt);
-      std::swap(emb, alt);
-    } else if (graph.reordered()) {
-      fc_[i].forward(*emb, *alt);
-      scatter_compute_rows(graph, *alt, out);
-    } else {
-      fc_[i].forward(*emb, out);
-    }
-  }
-}
-
-void GcnModel::run_forward_int8(const GraphTensors& graph,
-                                ForwardWorkspace& ws, Matrix& out) const {
-  TraceSpan span("gcn.infer_int8");
-  span.arg("nodes", static_cast<double>(graph.node_count()));
-  if (qencoders_.size() != encoders_.size() || qfc_.size() != fc_.size()) {
-    throw Error(ErrorKind::kInternal,
-                "run_forward_int8: quantized snapshots not calibrated");
-  }
-  const float wp = w_pr();
-  const float wsu = w_su();
-
-  // Mirrors run_forward's ping-pong structure. Activations stay fp32 in
-  // ping/pong; the quantized code buffers are derived views feeding the
-  // int8 kernels: qact encodes the current activation for the two SpMMs,
-  // qagg encodes the aggregated matrix for the dense layer. The Eq. 1
-  // identity term reuses the exact fp32 activation (only the neighbor
-  // sums flow through codes), which keeps the quantization error per
-  // layer to one activation round-trip.
-  Matrix* emb = &ws.ping;
-  Matrix* alt = &ws.pong;
-  gather_compute_rows(graph, graph.features, *emb);
-
-  for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    quantize_tensor(*emb, ws.qact);
-    spmm_q8(graph.pred, ws.qact, ws.pred_sum);
-    spmm_q8(graph.succ, ws.qact, ws.succ_sum);
-    ws.aggregated.copy_from(*emb);
-    // axpy_exact, not Matrix::axpy: the SimdOps axpy contracts to FMA
-    // only on the vector targets, which would break the int8 tier's
-    // cross-target bit-identity (quant.h file comment).
-    axpy_exact(ws.aggregated, wp, ws.pred_sum);
-    axpy_exact(ws.aggregated, wsu, ws.succ_sum);
-
-    quantize_tensor(ws.aggregated, ws.qagg);
-    quantized_linear_forward(ws.qagg, qencoders_[d], encoders_[d].bias.value,
-                             *alt, /*relu=*/true);
-    std::swap(emb, alt);
-  }
-
-  for (std::size_t i = 0; i < fc_.size(); ++i) {
-    quantize_tensor(*emb, ws.qact);
-    if (i + 1 < fc_.size()) {
-      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, *alt,
-                               /*relu=*/true);
-      std::swap(emb, alt);
-    } else if (graph.reordered()) {
-      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, *alt,
-                               /*relu=*/false);
-      scatter_compute_rows(graph, *alt, out);
-    } else {
-      quantized_linear_forward(ws.qact, qfc_[i], fc_[i].bias.value, out,
-                               /*relu=*/false);
-    }
-  }
+  const Matrix& logits = fc_head(*emb, *alt, precision, ws,
+                                 cache != nullptr ? &cache->fc_inputs : nullptr);
+  scatter_compute_rows(graph, logits, out);
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {
   Matrix out;
-  run_forward(graph, &cache_, ws_, out);
+  // The int8 tier serves inference only; the training forward (which
+  // must cache fp32 activations for backward) always runs fp32.
+  run_forward(graph, Precision::kFp32, nullptr, &cache_, ws_, out);
   return out;
 }
 
 Matrix GcnModel::infer(const GraphTensors& graph) const {
   Matrix out;
-  run_forward(graph, nullptr, ws_, out);
+  run_forward(graph, precision_, nullptr, nullptr, ws_, out);
   return out;
 }
 
 void GcnModel::infer(const GraphTensors& graph, ForwardWorkspace& ws,
                      Matrix& out) const {
-  run_forward(graph, nullptr, ws, out);
+  run_forward(graph, precision_, nullptr, nullptr, ws, out);
+}
+
+void GcnModel::infer_embeddings(const GraphTensors& graph,
+                                ForwardWorkspace& ws, Matrix& out,
+                                std::vector<Matrix>& embeddings) const {
+  run_forward(graph, Precision::kFp32, &embeddings, nullptr, ws, out);
 }
 
 void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
@@ -236,7 +238,7 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
     if (i > 0) {
       // Undo the ReLU that produced fc_inputs[i].
       Matrix masked;
-      Relu::backward(cache_.fc_outputs[i - 1], dinput, masked);
+      Relu::backward(cache_.fc_inputs[i], dinput, masked);
       grad = std::move(masked);
     } else {
       grad = std::move(dinput);
@@ -272,12 +274,7 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
 
 std::vector<float> GcnModel::predict_positive_probability(
     const GraphTensors& graph) const {
-  const Matrix probabilities = softmax(infer(graph));
-  std::vector<float> positive(probabilities.rows());
-  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
-    positive[r] = probabilities.at(r, 1);
-  }
-  return positive;
+  return positive_probability(infer(graph));
 }
 
 std::vector<Param*> GcnModel::params() {
@@ -325,6 +322,15 @@ void GcnModel::copy_params_from(const GcnModel& other) {
   for (std::size_t i = 0; i < mine.size(); ++i) {
     mine[i]->value = theirs[i]->value;
   }
+}
+
+std::vector<float> positive_probability(const Matrix& logits) {
+  const Matrix probabilities = softmax(logits);
+  std::vector<float> positive(probabilities.rows());
+  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
+    positive[r] = probabilities.at(r, 1);
+  }
+  return positive;
 }
 
 }  // namespace gcnt

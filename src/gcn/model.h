@@ -10,7 +10,14 @@
 // (Eq. 3) — the "fast inference scheme" — and the same code path is the
 // training forward pass. w_pr and w_su are trainable scalars shared across
 // depths, exactly as in the paper.
+//
+// layer_step() and fc_head() are the one forward core. The training and
+// inference forwards here, IncrementalGcnEngine and ShardedGcnEngine all
+// run them and differ only in the row sets they compute and in where they
+// keep the results, so every engine computes a row with the same kernels
+// in the same order.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,6 +73,43 @@ class GcnModel {
   void infer(const GraphTensors& graph, ForwardWorkspace& ws,
              Matrix& out) const;
 
+  /// Fp32 whole-graph inference that also keeps E_0..E_D (compute row
+  /// order) in `embeddings`: the incremental engine's refresh. Runs fp32
+  /// whatever precision() says (see count_fp32_fallback).
+  void infer_embeddings(const GraphTensors& graph, ForwardWorkspace& ws,
+                        Matrix& out, std::vector<Matrix>& embeddings) const;
+
+  /// One Eq. 1 layer step through encoder `d`:
+  ///   out = ReLU((X[rows] + w_pr*P[rows]*X + w_su*S[rows]*X) * W_d + b_d)
+  /// `rows == nullptr` computes every row with the whole-graph kernels
+  /// (spmm, copy_from), or their int8 counterparts for Precision::kInt8.
+  /// A row list computes only those rows of P and S (spmm_rows and a row
+  /// gather) into a compact rows->size() x K_d block whose row i is
+  /// bitwise equal to row (*rows)[i] of the all-rows step. Row lists are
+  /// fp32 only: no row-subset int8 SpMM exists. P*X, S*X and the
+  /// aggregate G are left in ws.pred_sum, ws.succ_sum and ws.aggregated.
+  /// `out` must not alias `x`.
+  void layer_step(std::size_t d, const CsrMatrix& pred, const CsrMatrix& succ,
+                  const Matrix& x, const std::vector<std::uint32_t>* rows,
+                  Precision precision, ForwardWorkspace& ws,
+                  Matrix& out) const;
+
+  /// FC head (Eq. 3) over the compact E_D block in `x`: the hidden layers
+  /// (fused ReLU) ping-pong through `x` and `y`, so both are clobbered.
+  /// Returns the one holding the compact logits, row i of which belongs
+  /// to row i of the input; callers scatter it. When `inputs` is non-null
+  /// it receives each FC layer's input (training keeps them for
+  /// backward).
+  Matrix& fc_head(Matrix& x, Matrix& y, Precision precision,
+                  ForwardWorkspace& ws,
+                  std::vector<Matrix>* inputs = nullptr) const;
+
+  /// The row-set engines (incremental, sharded) compute fp32 whatever
+  /// precision() says, because no row-subset int8 SpMM exists. They call
+  /// this once per refresh()/update(); it ticks the "quant.fallback"
+  /// counter when this model is int8, so the downgrade shows in stats.
+  void count_fp32_fallback() const;
+
   /// Positive-class probability per node.
   std::vector<float> predict_positive_probability(const GraphTensors& graph) const;
 
@@ -115,14 +159,13 @@ class GcnModel {
                          std::vector<QuantizedLinear> fc);
 
  private:
-  /// Shared forward; fills `cache` when non-null. Scratch lives in `ws`,
-  /// logits land in `out` (the last FC layer writes them directly).
+  /// The whole-graph forward: gather, D all-rows layer steps, FC head,
+  /// scatter of the logits into `out` (node order). Scratch lives in `ws`.
+  /// Fills `embeddings` (E_0..E_D) and `cache` (training) when non-null.
   struct Cache;
-  void run_forward(const GraphTensors& graph, Cache* cache,
+  void run_forward(const GraphTensors& graph, Precision precision,
+                   std::vector<Matrix>* embeddings, Cache* cache,
                    ForwardWorkspace& ws, Matrix& out) const;
-  /// Int8 inference forward (run_forward's quantized twin; cache-free).
-  void run_forward_int8(const GraphTensors& graph, ForwardWorkspace& ws,
-                        Matrix& out) const;
 
   GcnConfig config_;
   Param w_pr_;
@@ -138,8 +181,9 @@ class GcnModel {
     std::vector<Matrix> aggregated;  ///< G_1 .. G_D
     std::vector<Matrix> pred_sums;   ///< P * E_{d-1}
     std::vector<Matrix> succ_sums;   ///< S * E_{d-1}
-    std::vector<Matrix> fc_inputs;   ///< input to each FC layer
-    std::vector<Matrix> fc_outputs;  ///< post-ReLU output of hidden FCs
+    /// Input to each FC layer; fc_inputs[i] is the post-ReLU output of
+    /// FC layer i - 1.
+    std::vector<Matrix> fc_inputs;
   };
   Cache cache_;
   /// Scratch for forward()/infer(graph); mutable so const inference can
@@ -147,5 +191,8 @@ class GcnModel {
   /// the explicit-workspace infer overload for concurrent callers.
   mutable ForwardWorkspace ws_;
 };
+
+/// Softmax column 1 (the positive class) of N x 2 logits, per row.
+std::vector<float> positive_probability(const Matrix& logits);
 
 }  // namespace gcnt

@@ -12,32 +12,19 @@
 #include "common/error.h"
 #include "common/stats.h"
 #include "common/trace.h"
-#include "nn/loss.h"
 
 namespace gcnt {
 
 namespace {
 
-/// Copies the listed rows of `src` into `out`, reshaped (capacity-
-/// reusing) to a compact rows.size() x cols matrix.
-void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
-                 Matrix& out) {
-  out.resize(rows.size(), src.cols());
+/// logits.row(tensors.node_of(rows[i])) = compact.row(i): compact logits
+/// of global compute rows back to node order.
+void scatter_to_nodes(const GraphTensors& tensors, const Matrix& compact,
+                      const std::vector<std::uint32_t>& rows, Matrix& logits) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const float* in = src.row(rows[i]);
-    std::copy(in, in + src.cols(), out.row(i));
+    const float* in = compact.row(i);
+    std::copy(in, in + compact.cols(), logits.row(tensors.node_of(rows[i])));
   }
-}
-
-/// Grows `m` to new_rows x cols, preserving existing rows (new rows zero).
-void grow_rows(Matrix& m, std::size_t new_rows, std::size_t cols) {
-  if (m.rows() == new_rows && m.cols() == cols) return;
-  Matrix grown(new_rows, cols);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* in = m.row(r);
-    std::copy(in, in + m.cols(), grown.row(r));
-  }
-  m = std::move(grown);
 }
 
 }  // namespace
@@ -460,11 +447,7 @@ void ShardedGcnEngine::gather_active(const GraphTensors& tensors,
                 "ShardedGcnEngine: owner block row count drifted");
   }
   out.resize(ls.active.size(), owner_block_.cols());
-  const auto& owner_pos = ls.rows_within[0];
-  for (std::size_t i = 0; i < owner_count; ++i) {
-    const float* in = owner_block_.row(i);
-    std::copy(in, in + owner_block_.cols(), out.row(owner_pos[i]));
-  }
+  scatter_rows(owner_block_, ls.rows_within[0], out);
   const Shard& s = partition_.shard(k);
   for (std::size_t g = 0; g < s.recv.size(); ++g) {
     store_.get_export(layer, s.recv[g].producer, k, xbuf_);
@@ -473,11 +456,7 @@ void ShardedGcnEngine::gather_active(const GraphTensors& tensors,
       throw Error(ErrorKind::kInternal,
                   "ShardedGcnEngine: export block shape drifted");
     }
-    const auto& pos = ls.recv_local[g];
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      const float* in = xbuf_.row(i);
-      std::copy(in, in + xbuf_.cols(), out.row(pos[i]));
-    }
+    scatter_rows(xbuf_, ls.recv_local[g], out);
   }
 }
 
@@ -486,30 +465,6 @@ void ShardedGcnEngine::put_exports(int layer, std::size_t p,
   for (const ExportPlan& plan : send_[p]) {
     gather_rows(owner_block, plan.positions, xbuf_);
     store_.put_export(layer, p, plan.consumer, xbuf_);
-  }
-}
-
-void ShardedGcnEngine::run_fc(const GraphTensors& tensors, const Matrix& input,
-                              const std::vector<std::uint32_t>& rows) {
-  const auto& fc = model_->fc_layers();
-  const Matrix* in = &input;
-  Matrix* a = &fc_a_;
-  Matrix* b = &fc_b_;
-  const Matrix* final_out = in;
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    if (i + 1 < fc.size()) {
-      fc[i].forward_relu(*in, *a);
-      in = a;
-      std::swap(a, b);
-    } else {
-      fc[i].forward(*in, *a);
-      final_out = a;
-    }
-  }
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const float* src = final_out->row(i);
-    std::copy(src, src + final_out->cols(),
-              logits_.row(tensors.node_of(rows[i])));
   }
 }
 
@@ -527,16 +482,7 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       StatsRegistry::instance().counter("shard.forwards");
   static Counter& rounds = StatsRegistry::instance().counter("shard.rounds");
   forwards.add();
-  if (model_->precision() == Precision::kInt8) {
-    // The sharded compute path stays fp32 (its per-kernel accumulation
-    // orders are what make it bit-identical to the monolithic engines);
-    // a model in int8 mode is downgraded here and counted, like the
-    // incremental engine. Block *storage* precision is a separate,
-    // explicit opt-in (ShardedGcnOptions::block_precision).
-    static Counter& fallbacks =
-        StatsRegistry::instance().counter("quant.fallback");
-    fallbacks.add();
-  }
+  model_->count_fp32_fallback();
 
   if (!has_partition_ || partition_.row_count() != n ||
       cached_pred_nnz_ != tensors.pred.nnz() ||
@@ -546,10 +492,7 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
   store_.clear();
   logits_.resize(n, model_->config().num_classes);
 
-  const float wp = model_->w_pr();
-  const float wsu = model_->w_su();
-  const auto& encoders = model_->encoders();
-  const std::size_t layer_count = encoders.size();
+  const std::size_t layer_count = model_->encoders().size();
   const std::size_t halo = static_cast<std::size_t>(partition_.halo_depth());
 
   std::size_t done = 0;
@@ -567,12 +510,8 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       for (std::size_t j = 1; j <= m; ++j) {
         const std::size_t d = done + j - 1;
         const auto& rows = ls.rows_within[m - j];
-        ls.pred.spmm_rows(rows, *x, ws_.pred_sum);
-        ls.succ.spmm_rows(rows, *x, ws_.succ_sum);
-        gather_rows(*x, rows, ws_.aggregated);
-        ws_.aggregated.axpy(wp, ws_.pred_sum);
-        ws_.aggregated.axpy(wsu, ws_.succ_sum);
-        encoders[d].forward_relu(ws_.aggregated, compact_out_);
+        model_->layer_step(d, ls.pred, ls.succ, *x, &rows, Precision::kFp32,
+                           ws_, compact_out_);
         // Persist this layer's owner rows (and their halo exports) so the
         // incremental path can later re-propagate any layer.
         gather_rows(compact_out_, ls.owner_pos_in[m - j], owner_block_);
@@ -584,30 +523,19 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
           // Scatter into the next active buffer; rows outside the next
           // compute set's neighborhood are never read.
           xn->resize(ls.active.size(), compact_out_.cols());
-          for (std::size_t i = 0; i < rows.size(); ++i) {
-            const float* in = compact_out_.row(i);
-            std::copy(in, in + compact_out_.cols(), xn->row(rows[i]));
-          }
+          scatter_rows(compact_out_, rows, *xn);
           std::swap(x, xn);
         }
       }
       if (done + m == layer_count) {
-        run_fc(tensors, owner_block_, partition_.shard(k).owners);
+        // owner_block_ holds the owners' E_D; the head clobbers it.
+        scatter_to_nodes(tensors,
+                         model_->fc_head(owner_block_, compact_out_,
+                                         Precision::kFp32, ws_),
+                         partition_.shard(k).owners, logits_);
       }
     }
     done += m;
-  }
-  if (layer_count == 0) {
-    // Degenerate MLP: the FC head reads E_0 (the features) directly.
-    for (std::size_t k = 0; k < partition_.shard_count(); ++k) {
-      const auto& owners = partition_.shard(k).owners;
-      owner_block_.resize(owners.size(), tensors.features.cols());
-      for (std::size_t i = 0; i < owners.size(); ++i) {
-        const float* in = tensors.features.row(tensors.node_of(owners[i]));
-        std::copy(in, in + tensors.features.cols(), owner_block_.row(i));
-      }
-      run_fc(tensors, owner_block_, owners);
-    }
   }
 
   cached_nodes_ = n;
@@ -644,11 +572,7 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   static Counter& extends =
       StatsRegistry::instance().counter("shard.partition_extends");
   updates.add();
-  if (model_->precision() == Precision::kInt8) {
-    static Counter& fallbacks =
-        StatsRegistry::instance().counter("quant.fallback");
-    fallbacks.add();
-  }
+  model_->count_fp32_fallback();
   last_was_full_ = false;
   last_dirty_rows_ = dirty.size();
 
@@ -667,7 +591,7 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
       affected_flag[k] = 1;
     }
     rebuild_send_views();
-    grow_rows(logits_, n, logits_.cols());
+    grow_rows(logits_, n);
     extends.add();
     extended = !affected.empty();
     StatsRegistry::instance().gauge("shard.halo_rows").set(
@@ -708,10 +632,7 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
     dirty_shards.push_back(k);
   }
 
-  const float wp = model_->w_pr();
-  const float wsu = model_->w_su();
-  const auto& encoders = model_->encoders();
-  const std::size_t layer_count = encoders.size();
+  const std::size_t layer_count = model_->encoders().size();
 
   // Layer-synchronous re-propagation: every dirty shard finishes layer d
   // before any shard starts layer d+1, so the halo gathers always read
@@ -720,22 +641,11 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
     for (const std::size_t k : dirty_shards) {
       gather_active(tensors, k, static_cast<int>(d - 1), active_a_);
       const LocalShard& ls = locals_[k];
-      ls.pred.spmm_rows(dirty_local[k], active_a_, ws_.pred_sum);
-      ls.succ.spmm_rows(dirty_local[k], active_a_, ws_.succ_sum);
-      gather_rows(active_a_, dirty_local[k], ws_.aggregated);
-      ws_.aggregated.axpy(wp, ws_.pred_sum);
-      ws_.aggregated.axpy(wsu, ws_.succ_sum);
-      encoders[d - 1].forward_relu(ws_.aggregated, compact_out_);
+      model_->layer_step(d - 1, ls.pred, ls.succ, active_a_, &dirty_local[k],
+                         Precision::kFp32, ws_, compact_out_);
       store_.get(static_cast<int>(d), k, owner_block_);
-      const auto& owners = partition_.shard(k).owners;
-      if (owner_block_.rows() < owners.size()) {
-        grow_rows(owner_block_, owners.size(), owner_block_.cols());
-      }
-      for (std::size_t i = 0; i < dirty_owner_pos[k].size(); ++i) {
-        const float* in = compact_out_.row(i);
-        std::copy(in, in + compact_out_.cols(),
-                  owner_block_.row(dirty_owner_pos[k][i]));
-      }
+      grow_rows(owner_block_, partition_.shard(k).owners.size());
+      scatter_rows(compact_out_, dirty_owner_pos[k], owner_block_);
       store_.put(static_cast<int>(d), k, owner_block_);
       if (d < layer_count) {
         put_exports(static_cast<int>(d), k, owner_block_);
@@ -762,30 +672,18 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   }
 
   for (const std::size_t k : dirty_shards) {
-    if (layer_count == 0) {
-      owner_block_.resize(dirty_global[k].size(), tensors.features.cols());
-      for (std::size_t i = 0; i < dirty_global[k].size(); ++i) {
-        const float* in =
-            tensors.features.row(tensors.node_of(dirty_global[k][i]));
-        std::copy(in, in + tensors.features.cols(), owner_block_.row(i));
-      }
-      run_fc(tensors, owner_block_, dirty_global[k]);
-      continue;
-    }
     store_.get(static_cast<int>(layer_count), k, owner_block_);
     gather_rows(owner_block_, dirty_owner_pos[k], compact_out_);
-    run_fc(tensors, compact_out_, dirty_global[k]);
+    scatter_to_nodes(tensors,
+                     model_->fc_head(compact_out_, owner_block_,
+                                     Precision::kFp32, ws_),
+                     dirty_global[k], logits_);
   }
   return logits_;
 }
 
 std::vector<float> ShardedGcnEngine::positive_probability() const {
-  const Matrix probabilities = softmax(logits_);
-  std::vector<float> positive(probabilities.rows());
-  for (std::size_t r = 0; r < probabilities.rows(); ++r) {
-    positive[r] = probabilities.at(r, 1);
-  }
-  return positive;
+  return gcnt::positive_probability(logits_);
 }
 
 }  // namespace gcnt

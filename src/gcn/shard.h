@@ -10,13 +10,17 @@
 // Off-shard state lives in a ShardStore, either as in-memory blocks or
 // spilled to disk in the checksummed artifact envelope (common/artifact.h).
 //
+// The engine only plans row sets and owns the stores; each layer is one
+// GcnModel::layer_step over a shard's row set and the head is
+// GcnModel::fc_head, the same core every engine runs (fp32 even for an
+// int8 model, see GcnModel::count_fp32_fallback).
+//
 // Bitwise identity with the monolithic path is a hard invariant, pinned
 // by tests/shard_test.cpp: the shard-local CSR forms are carved out of
 // the global CSR with each row's nonzero order preserved
-// (CsrMatrix::from_parts), and every kernel here (spmm_rows, axpy,
-// gemm_bias_act) accumulates per output element in the same order as its
-// whole-graph counterpart — so sharded logits equal GcnModel::infer
-// bit-for-bit for any K, halo depth, thread count, or reorder policy.
+// (CsrMatrix::from_parts), and a row-set layer step reproduces the
+// all-rows bits — so sharded logits equal GcnModel::infer bit-for-bit for
+// any K, halo depth, thread count, or reorder policy.
 //
 // Round structure: with halo depth D and L encoder layers, a full forward
 // runs ceil(L / D) rounds. Within a round of m <= D layers a shard
@@ -210,10 +214,6 @@ class ShardedGcnEngine {
   /// Writes every export block of producer p at `layer` from its owner
   /// block.
   void put_exports(int layer, std::size_t p, const Matrix& owner_block);
-  /// FC head over a compact block whose row i belongs to global compute
-  /// row rows[i]; scatters the final logits into node order.
-  void run_fc(const GraphTensors& tensors, const Matrix& input,
-              const std::vector<std::uint32_t>& rows);
 
   const GcnModel* model_;
   ShardedGcnOptions options_;
@@ -229,8 +229,6 @@ class ShardedGcnEngine {
   Matrix compact_out_;  ///< per-layer compact activation output
   Matrix owner_block_;  ///< owner-row block staging
   Matrix xbuf_;         ///< export-row staging
-  Matrix fc_a_;         ///< FC chain ping
-  Matrix fc_b_;         ///< FC chain pong
   std::size_t cached_nodes_ = 0;  ///< 0 = no valid stored blocks
   std::size_t cached_pred_nnz_ = 0;
   std::size_t cached_succ_nnz_ = 0;

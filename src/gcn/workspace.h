@@ -1,8 +1,9 @@
 #pragma once
-// ForwardWorkspace: the preallocated scratch buffers a whole-graph (or
-// compact dirty-row) GCN forward pass needs — the two aggregation sums,
-// the aggregated matrix, a ping-pong pair of activation buffers, and
-// (int8 tier only) a pair of quantized activation code buffers.
+// ForwardWorkspace: the scratch buffers of the one forward core,
+// GcnModel::layer_step and GcnModel::fc_head — the two aggregation sums
+// and the aggregated matrix of a layer step over all rows or a row set,
+// a ping-pong pair of activation buffers, and (int8 tier only) a pair of
+// quantized activation code buffers.
 //
 // Matrix::resize() and Matrix::copy_from() reuse the underlying
 // allocation whenever the new element count fits in capacity(), so after
@@ -10,8 +11,8 @@
 // same workspace performs zero heap allocations (until the graph grows).
 // QuantizedTensor::resize() follows the same rule for its code vector,
 // extending the contract to Precision::kInt8 inference. The trainer,
-// GcnModel::forward/infer, and IncrementalGcnEngine all keep a workspace
-// alive across calls for exactly this reason.
+// GcnModel::forward/infer, IncrementalGcnEngine and ShardedGcnEngine all
+// keep a workspace alive across calls for exactly this reason.
 //
 // poll_allocations() lets tests assert the contract: it counts
 // capacity-growth events across all buffers since the previous poll.

@@ -1,8 +1,10 @@
 #include "tensor/matrix.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -44,6 +46,30 @@ float Matrix::dot(const Matrix& other) const {
     acc += static_cast<double>(data_[i]) * other.data_[i];
   }
   return static_cast<float>(acc);
+}
+
+void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
+                 Matrix& out) {
+  out.resize(rows.size(), src.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const float* in = src.row(rows[i]);
+    std::copy(in, in + src.cols(), out.row(i));
+  }
+}
+
+void scatter_rows(const Matrix& compact, const std::vector<std::uint32_t>& rows,
+                  Matrix& dst) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const float* in = compact.row(i);
+    std::copy(in, in + compact.cols(), dst.row(rows[i]));
+  }
+}
+
+void grow_rows(Matrix& m, std::size_t new_rows) {
+  if (new_rows <= m.rows()) return;
+  Matrix grown(new_rows, m.cols());
+  std::copy(m.data(), m.data() + m.size(), grown.data());
+  m = std::move(grown);
 }
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,

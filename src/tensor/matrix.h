@@ -4,6 +4,7 @@
 // owning value type with explicit, allocation-free compute kernels.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/debug_assert.h"
@@ -96,6 +97,19 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<float> data_;
 };
+
+/// out.row(i) = src.row(rows[i]): a compact rows.size() x src.cols()
+/// copy (capacity-reusing).
+void gather_rows(const Matrix& src, const std::vector<std::uint32_t>& rows,
+                 Matrix& out);
+
+/// dst.row(rows[i]) = compact.row(i), the inverse of gather_rows.
+void scatter_rows(const Matrix& compact, const std::vector<std::uint32_t>& rows,
+                  Matrix& dst);
+
+/// Grows `m` to new_rows rows when it has fewer, keeping the existing rows
+/// and zero-filling the new ones. Allocates exactly the new size.
+void grow_rows(Matrix& m, std::size_t new_rows);
 
 /// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose.
 /// `out` is resized to the result shape when beta == 0.

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -174,6 +177,59 @@ TEST(GcnModel, ForwardMatchesInfer) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
+}
+
+/// Builds a rows x cols matrix from row-major values.
+Matrix matrix_of(std::size_t rows, std::size_t cols,
+                 const std::vector<float>& values) {
+  Matrix m(rows, cols);
+  std::copy(values.begin(), values.end(), m.data());
+  return m;
+}
+
+// The Eq. 1 layer step against numbers worked out by hand on the chain
+// 0 -> 1 -> 2, with w_pr = 0.5, w_su = 0.25 and
+//   X = [1 0 0 0; 0 2 0 0; 0 0 1 -1]
+//   W = [1 -1; 0.5 0; 0 1; 2 0.5], b = [0.25 0.5].
+// P*X = [0; X0; X1] and S*X = [X1; X2; 0], so
+//   G = X + 0.5 P*X + 0.25 S*X = [1 0.5 0 0; 0.5 2 0.25 -0.25; 0 1 1 -1]
+//   G*W + b = [1.5 -0.5; 1.25 0.125; -1.25 1]
+// and ReLU gives the expected output. Every value is a multiple of 1/8,
+// so each step is exact in fp32 on any SIMD target.
+TEST(GcnModel, LayerStepMatchesHandComputedValues) {
+  GcnConfig config;
+  config.depth = 1;
+  config.embed_dims = {2};
+  config.fc_dims = {};
+  config.initial_w_pr = 0.5f;
+  config.initial_w_su = 0.25f;
+  GcnModel model(config);
+  const std::vector<Param*> params = model.params();  // w_pr, w_su, W, b...
+  params[2]->value = matrix_of(4, 2, {1, -1, 0.5f, 0, 0, 1, 2, 0.5f});
+  params[3]->value = matrix_of(1, 2, {0.25f, 0.5f});
+
+  CooMatrix pred(3, 3);  // row v lists the fanins of v
+  pred.add(1, 0, 1.0f);
+  pred.add(2, 1, 1.0f);
+  CooMatrix succ(3, 3);  // row v lists the fanouts of v
+  succ.add(0, 1, 1.0f);
+  succ.add(1, 2, 1.0f);
+  const CsrMatrix p = CsrMatrix::from_coo(pred);
+  const CsrMatrix s = CsrMatrix::from_coo(succ);
+  const Matrix x = matrix_of(3, 4, {1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, -1});
+
+  ForwardWorkspace ws;
+  Matrix out;
+  model.layer_step(0, p, s, x, nullptr, Precision::kFp32, ws, out);
+  EXPECT_EQ(ws.aggregated,
+            matrix_of(3, 4, {1, 0.5f, 0, 0, 0.5f, 2, 0.25f, -0.25f,
+                             0, 1, 1, -1}));
+  EXPECT_EQ(out, matrix_of(3, 2, {1.5f, 0, 1.25f, 0.125f, 0, 1}));
+
+  const std::vector<std::uint32_t> middle = {1};
+  model.layer_step(0, p, s, x, &middle, Precision::kFp32, ws, out);
+  EXPECT_EQ(ws.aggregated, matrix_of(1, 4, {0.5f, 2, 0.25f, -0.25f}));
+  EXPECT_EQ(out, matrix_of(1, 2, {1.25f, 0.125f}));
 }
 
 /// Loss of the model on the tiny graph (for finite differences).

@@ -9,10 +9,12 @@
 // 8 (tests/CMakeLists.txt), mirroring the serve suite.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -31,6 +33,22 @@
 
 namespace gcnt {
 namespace {
+
+/// A scratch directory private to this process, removed when the test
+/// ends: shard_threads1 and shard_threads8 run this binary concurrently
+/// under ctest -j, and a shared directory lets them clobber each other's
+/// spill blocks.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(testing::TempDir() + name + "_" + std::to_string(getpid())) {}
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  const std::string path;
+};
 
 Netlist test_netlist(std::uint64_t seed, std::size_t gates = 2000) {
   GeneratorConfig config;
@@ -445,7 +463,8 @@ TEST(ShardedForward, SpillToDiskIsIdenticalAndEnveloped) {
   ShardedGcnOptions options;
   options.shards = 4;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_spill";
+  const ScratchDir spill("gcnt_shard_spill");
+  options.spill_dir = spill.path;
   ShardedGcnEngine engine(model, options);
   engine.refresh(tensors);
   EXPECT_EQ(engine.logits(), reference);
@@ -509,7 +528,8 @@ TEST(ShardedIncremental, RcmAndSpillTogetherStayIdentical) {
   ShardedGcnOptions options;
   options.shards = 4;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_spill_rcm";
+  const ScratchDir spill("gcnt_shard_spill_rcm");
+  options.spill_dir = spill.path;
   options.full_fallback_fraction = 0.9;
   ShardedGcnEngine engine(model, options);
   engine.refresh(tensors);
@@ -566,8 +586,9 @@ TEST(ShardStore, MemoryRoundTrip) {
 }
 
 TEST(ShardStore, DiskRoundTripUsesTheArtifactEnvelope) {
+  const ScratchDir dir("gcnt_shard_store");
   ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_store");
+  store.configure(dir.path);
   Matrix block(4, 3);
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
@@ -586,8 +607,9 @@ TEST(ShardStore, DiskRoundTripUsesTheArtifactEnvelope) {
 }
 
 TEST(ShardStore, CorruptedBlockIsRejected) {
+  const ScratchDir dir("gcnt_shard_corrupt");
   ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_corrupt");
+  store.configure(dir.path);
   Matrix block(2, 2);
   block.at(0, 0) = 1.0f;
   block.at(1, 1) = 2.0f;
@@ -608,8 +630,9 @@ TEST(ShardStore, CorruptedBlockIsRejected) {
 }
 
 TEST(ShardStore, KillMidSpillLeavesThePreviousBlock) {
+  const ScratchDir dir("gcnt_shard_kill");
   ShardStore store;
-  store.configure(testing::TempDir() + "gcnt_shard_kill");
+  store.configure(dir.path);
   Matrix original(2, 3);
   original.fill(1.5f);
   store.put(1, 0, original);
@@ -636,7 +659,8 @@ TEST(ShardedForward, RecoversAfterAKilledSpillWrite) {
   ShardedGcnOptions options;
   options.shards = 2;
   options.halo = 1;
-  options.spill_dir = testing::TempDir() + "gcnt_shard_recover";
+  const ScratchDir spill("gcnt_shard_recover");
+  options.spill_dir = spill.path;
   ShardedGcnEngine engine(model, options);
   // Kill the 5th spill write mid-refresh: the forward aborts with kIo and
   // no cache is published.

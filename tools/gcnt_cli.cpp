@@ -381,6 +381,8 @@ int cmd_opi(const Args& args) {
     model.set_precision(Precision::kInt8);
   }
   GcnOpiOptions options;
+  // gcnt train fits the model on standardized features.
+  options.standardize_features = true;
   options.max_iterations = args.get_size("iterations", 12);
   // Journaling is opt-in (--journal [file] or --resume); the default path
   // sits next to the output artifact and is removed when the sweep
@@ -468,6 +470,8 @@ int cmd_flow(const Args& args) {
   }
 
   GcnOpiOptions opi_options;
+  // The model above was trained on standardized features.
+  opi_options.standardize_features = true;
   opi_options.max_iterations = args.get_size("iterations", 2);
   if (resume || args.has("checkpoint")) {
     opi_options.journal_path = checkpoint_base + ".journal";
