@@ -94,6 +94,9 @@ BENCHMARK(BM_SpmmTiled)
     ->ArgsProduct({{0, 16, 32, 64}, {1, 8}})
     ->ArgNames({"tile", "threads"});
 
+/// Its `x` is all zeros, so every A row is empty and this times the
+/// GEMM's zero skip, not its multiply-adds (BM_GemmLayer times real
+/// post-ReLU inputs).
 void BM_EncoderGemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   set_kernel_threads(static_cast<std::size_t>(state.range(1)));
@@ -110,6 +113,64 @@ void BM_EncoderGemm(benchmark::State& state) {
 BENCHMARK(BM_EncoderGemm)
     ->ArgsProduct({{10000, 50000}, kThreadSweep})
     ->ArgNames({"rows", "threads"});
+
+/// Nonnegative activations with about 60% exact zeros, the post-ReLU zero
+/// share of the traced training run (0.53-0.73 per layer).
+Matrix post_relu(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Matrix m(rows, cols);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const float v = static_cast<float>(rng.normal()) - 0.25f;
+    m.data()[i] = v > 0.0f ? v : 0.0f;
+  }
+  return m;
+}
+
+/// One GEMM of the paper model on ~20k rows, on one thread: a layer's
+/// forward (gemm_bias_act), its input gradient dx = dy * W^T, or its
+/// weight gradient dW += x^T * dy. Registered per case in main() as
+/// BM_GemmLayer/<layer>.<op>; reported, not gated.
+struct GemmLayerCase {
+  const char* name;
+  std::size_t in;
+  std::size_t out;
+  char op;  // 'f' forward, 'x' dx, 'w' dW
+};
+constexpr GemmLayerCase kGemmLayerCases[] = {
+    {"enc0.fwd", 4, 32, 'f'},   {"enc1.fwd", 32, 64, 'f'},
+    {"enc2.fwd", 64, 128, 'f'}, {"fc0.fwd", 128, 64, 'f'},
+    {"fc1.fwd", 64, 64, 'f'},   {"fc2.fwd", 64, 128, 'f'},
+    {"fc3.fwd", 128, 2, 'f'},   {"fc0.dx", 128, 64, 'x'},
+    {"fc0.dw", 128, 64, 'w'},   {"fc3.dx", 128, 2, 'x'},
+    {"fc3.dw", 128, 2, 'w'},
+};
+
+void BM_GemmLayer(benchmark::State& state, GemmLayerCase c) {
+  constexpr std::size_t kRows = 20000;
+  set_kernel_threads(1);
+  Rng rng(3);
+  Linear layer(c.in, c.out, rng);
+  const Matrix x = post_relu(kRows, c.in, 5);
+  // The classifier's gradient (softmax) is dense; inner ones are masked.
+  Matrix dy = post_relu(kRows, c.out, 7);
+  if (c.out == 2) {
+    for (std::size_t i = 0; i < dy.size(); ++i) dy.data()[i] -= 0.5f;
+  }
+  Matrix out(c.in, c.out);
+  for (auto _ : state) {
+    if (c.op == 'f') {
+      gemm_bias_act(x, layer.weight.value, layer.bias.value, out,
+                    /*relu=*/c.out != 2);
+    } else if (c.op == 'x') {
+      gemm(dy, layer.weight.value, out, false, true);
+    } else {
+      gemm(x, dy, out, true, false, 1.0f, 1.0f);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  set_kernel_threads(0);
+}
 
 /// Single-thread GEMM per SIMD dispatch target (simd 0 = scalar,
 /// 1 = avx2). The scalar/avx2 pair feeds the "SimdSpeedup.gemm" ratio
@@ -407,6 +468,10 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   gcnt::trace_set_thread_name("main");
+  for (const GemmLayerCase& c : kGemmLayerCases) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_GemmLayer/") + c.name).c_str(), BM_GemmLayer, c);
+  }
   JsonRecorder reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   publish_kernel_pool_stats();

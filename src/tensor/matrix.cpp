@@ -1,7 +1,6 @@
 #include "tensor/matrix.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -13,9 +12,14 @@
 namespace gcnt {
 
 namespace {
-// Minimum size of the partitioned dimension before GEMM fans out to the
-// kernel pool; below it the dispatch overhead dominates.
-constexpr std::size_t kMinParallelDim = 64;
+// GEMM work split (run_gemm): output units of kUnitRows x kUnitCols (the
+// row count is a multiple of every target's register-tile height), chain
+// blocks of kDepth terms, and the multiply-add count below which the
+// pool's dispatch overhead dominates and the call stays serial.
+constexpr std::size_t kUnitRows = 48;
+constexpr std::size_t kUnitCols = 64;
+constexpr std::size_t kDepth = 256;
+constexpr std::size_t kMinParallelWork = std::size_t{1} << 18;
 }  // namespace
 
 void Matrix::xavier_init(Rng& rng) {
@@ -72,6 +76,48 @@ void grow_rows(Matrix& m, std::size_t new_rows) {
   m = std::move(grown);
 }
 
+namespace {
+
+/// Runs `g` on the kernel pool. The output is cut into units of
+/// kUnitRows x kUnitCols, handed out in contiguous runs, and each unit's
+/// chain runs in depth blocks of kDepth (beta = 1 after the first, the
+/// epilogue on the last), so a thread's slice of A and B stays in cache
+/// while it sweeps its units. Every element's chain stays one ascending
+/// sequence inside one unit, so no split changes a bit.
+void run_gemm(const GemmBlock& g) {
+  const std::size_t row_units = (g.m + kUnitRows - 1) / kUnitRows;
+  const std::size_t col_units = (g.n + kUnitCols - 1) / kUnitCols;
+  const std::size_t units = row_units * col_units;
+  const std::size_t depth_blocks =
+      g.k == 0 ? 1 : (g.k + kDepth - 1) / kDepth;
+  const bool parallel = g.m * g.n * g.k >= kMinParallelWork;
+  const SimdOps& ops = simd_ops();
+  parallel_blocks(units, parallel ? 2 : units + 1,
+                  [&](std::size_t u0, std::size_t u1) {
+    for (std::size_t d = 0; d < depth_blocks; ++d) {
+      const std::size_t p0 = d * kDepth;
+      const bool last = d + 1 == depth_blocks;
+      for (std::size_t u = u0; u < u1; ++u) {
+        const std::size_t i0 = (u / col_units) * kUnitRows;
+        const std::size_t j0 = (u % col_units) * kUnitCols;
+        GemmBlock t = g;
+        t.m = std::min(kUnitRows, g.m - i0);
+        t.n = std::min(kUnitCols, g.n - j0);
+        t.k = std::min(kDepth, g.k - p0);
+        t.a = g.a + i0 * g.a_row + p0 * g.a_col;
+        t.b = g.b + p0 * g.ldb + j0;
+        t.c = g.c + i0 * g.ldc + j0;
+        if (d > 0) t.beta = 1.0f;
+        t.bias = last && g.bias != nullptr ? g.bias + j0 : nullptr;
+        t.relu = last && g.relu;
+        ops.gemm(t);
+      }
+    }
+  });
+}
+
+}  // namespace
+
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           bool transpose_b, float alpha, float beta) {
   GCNT_KERNEL_SCOPE("gemm");
@@ -82,76 +128,39 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
   if (k != kb) throw std::invalid_argument("gemm: inner dimension mismatch");
 
   if (beta == 0.0f) {
-    out.resize(m, n, 0.0f);
-  } else {
-    if (out.rows() != m || out.cols() != n) {
-      throw std::invalid_argument("gemm: output shape mismatch");
-    }
-    out.scale(beta);
+    out.resize_for_overwrite(m, n);
+  } else if (out.rows() != m || out.cols() != n) {
+    throw std::invalid_argument("gemm: output shape mismatch");
   }
 
-  // Loop orders chosen so the innermost loop is always contiguous in the
-  // matrix being streamed. The no-transpose-a variants partition output
-  // rows across the kernel pool, the transpose-a variants output columns;
-  // either way each output element is accumulated by one block in fixed
-  // ascending-p order (the uniform fp32 policy documented in matrix.h),
-  // so results are bitwise identical for any thread count (see
-  // common/parallel.h). The contiguous inner loops run on the dispatched
-  // SIMD microkernels.
-  const SimdOps& ops = simd_ops();
-  if (!transpose_a && !transpose_b) {
-    parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = a.row(i);
-        float* orow = out.row(i);
-        for (std::size_t p = 0; p < k; ++p) {
-          const float av = alpha * arow[p];
-          if (av == 0.0f) continue;
-          ops.axpy(orow, b.row(p), av, n);
-        }
-      }
-    });
-  } else if (transpose_a && !transpose_b) {
-    parallel_blocks(n, kMinParallelDim, [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t p = 0; p < k; ++p) {
-        const float* arow = a.row(p);  // a is k x m
-        const float* brow = b.row(p);
-        for (std::size_t i = 0; i < m; ++i) {
-          const float av = alpha * arow[i];
-          if (av == 0.0f) continue;
-          ops.axpy(out.row(i) + j0, brow + j0, av, j1 - j0);
-        }
-      }
-    });
-  } else if (!transpose_a && transpose_b) {
-    parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = a.row(i);
-        float* orow = out.row(i);
-        for (std::size_t j = 0; j < n; ++j) {
-          // fp32 ascending-p accumulation like the other variants (this
-          // one historically accumulated in double — unified in PR 5).
-          orow[j] += alpha * ops.dot(arow, b.row(j), k);  // b is n x k
-        }
-      }
-    });
-  } else {
-    // Double-transpose streams b with stride k — no contiguous run for a
-    // microkernel, so this stays a scalar loop (same ascending-p policy).
-    parallel_blocks(n, kMinParallelDim, [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t p = 0; p < k; ++p) {
-        const float* arow = a.row(p);  // a is k x m
-        for (std::size_t i = 0; i < m; ++i) {
-          const float av = alpha * arow[i];
-          if (av == 0.0f) continue;
-          float* orow = out.row(i);
-          for (std::size_t j = j0; j < j1; ++j) {
-            orow[j] += av * b.at(j, p);  // b is n x k
-          }
-        }
-      }
-    });
+  // op(A) is read in place through its strides; op(B) must have unit
+  // column stride, so a transposed B (at most layer width squared in the
+  // model) is packed once per call.
+  std::vector<float> packed;
+  const float* bp = b.data();
+  std::size_t ldb = b.cols();
+  if (transpose_b) {
+    packed.resize(k * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b.row(j);
+      for (std::size_t p = 0; p < k; ++p) packed[p * n + j] = brow[p];
+    }
+    bp = packed.data();
+    ldb = n;
   }
+
+  run_gemm({.m = m,
+            .n = n,
+            .k = k,
+            .a = a.data(),
+            .a_row = transpose_a ? 1 : a.cols(),
+            .a_col = transpose_a ? a.cols() : 1,
+            .b = bp,
+            .ldb = ldb,
+            .c = out.data(),
+            .ldc = n,
+            .alpha = alpha,
+            .beta = beta});
 }
 
 void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
@@ -166,26 +175,19 @@ void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
   if (bias.rows() != 1 || bias.cols() != n) {
     throw std::invalid_argument("gemm_bias_act: bias shape mismatch");
   }
-  out.resize(m, n, 0.0f);
-  const SimdOps& ops = simd_ops();
-  const float* bias_row = bias.row(0);
-  parallel_blocks(m, kMinParallelDim, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out.row(i);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        ops.axpy(orow, b.row(p), av, n);
-      }
-      // Epilogue as soon as the row completes, while it is still hot.
-      if (relu) {
-        ops.bias_relu(orow, bias_row, n);
-      } else {
-        ops.bias_add(orow, bias_row, n);
-      }
-    }
-  });
+  out.resize_for_overwrite(m, n);
+  run_gemm({.m = m,
+            .n = n,
+            .k = k,
+            .a = a.data(),
+            .a_row = k,
+            .a_col = 1,
+            .b = b.data(),
+            .ldb = n,
+            .c = out.data(),
+            .ldc = n,
+            .bias = bias.row(0),
+            .relu = relu});
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -57,9 +57,8 @@ class Matrix {
   /// Reshapes without touching existing contents: when the new element
   /// count fits the current size, no element is written at all (unlike
   /// resize(), which refills everything). Callers must overwrite every
-  /// element before reading it — spmm_q8 uses this to skip the full
-  /// prefill pass and instead zero each output slice right before
-  /// accumulating into it, while it is cache-hot.
+  /// element before reading it — gemm and spmm_q8 use this to skip the
+  /// full prefill pass and write each output tile while it is cache-hot.
   void resize_for_overwrite(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -112,29 +111,33 @@ void scatter_rows(const Matrix& compact, const std::vector<std::uint32_t>& rows,
 void grow_rows(Matrix& m, std::size_t new_rows);
 
 /// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose.
-/// `out` is resized to the result shape when beta == 0.
+/// `out` is reshaped (not prefilled) to the result shape when beta == 0.
 ///
-/// Accumulation policy (uniform across all four transpose variants):
-/// every output element accumulates its k products in float32, in fixed
-/// ascending-p order, through the runtime-dispatched SIMD microkernels
-/// (tensor/simd/simd.h). The row-update variants fold alpha into the
-/// streamed a-element; the inner-product variant (!transpose_a &&
-/// transpose_b) applies alpha to the completed dot product — at
-/// alpha == 1 all variants are bitwise identical on the scalar target.
-/// For a fixed dispatch target results are bitwise identical across
-/// thread counts; across targets (scalar vs avx2) they differ only by
-/// FMA contraction / dot-product lane blocking, within the tolerance
-/// documented in docs/API.md ("SIMD backend").
+/// Accumulation policy — one chain per output element, the same for all
+/// four transpose variants, every thread count and every tile split:
+///
+///   acc = beta == 0 ? +0 : beta * out(i, j)
+///   for p = 0, 1, ..., k-1:  av = alpha * op(a)(i, p)
+///                            if (av != 0) acc = madd(av, op(b)(p, j), acc)
+///
+/// where madd is one fused multiply-add (std::fmaf) on the AVX2/AVX-512
+/// targets and acc + av * b (two roundings) on scalar — the only
+/// difference between targets (tensor/simd/simd.h, GemmBlock).
+/// Zero-operand rule: a zero av is skipped, so it masks a NaN or Inf in b;
+/// a NaN in a is a term and propagates; a -0 start (beta != 0) is kept by
+/// skipped terms. The vector targets run the chain as an MR x NR register
+/// tile and re-run the per-term loop for the rare rows where dropping the
+/// skip could change a bit (tensor/simd/gemm_chain.h), so results are
+/// bitwise identical across variants, threads and the AVX2/AVX-512 pair.
+/// alpha != 1 runs the per-term loop throughout (no production caller).
 void gemm(const Matrix& a, const Matrix& b, Matrix& out, bool transpose_a,
           bool transpose_b, float alpha = 1.0f, float beta = 0.0f);
 
 /// Fused dense layer: out = act(a * b + bias), with bias a 1 x n row
 /// broadcast over output rows and act = ReLU when `relu` (identity
-/// otherwise). The epilogue runs on each output row right after its
-/// k-loop completes — one pass over the output instead of three
-/// (gemm write, bias pass, ReLU pass) — and applies the exact same
-/// per-element operation sequence, so the result is bitwise identical
-/// to gemm + bias add + Relu::forward.
+/// otherwise). The epilogue (acc + bias, then max(v, 0)) runs on each
+/// register tile as its chain completes — one pass over the output — and
+/// is the same per-element sequence as gemm + bias add + Relu::forward.
 void gemm_bias_act(const Matrix& a, const Matrix& b, const Matrix& bias,
                    Matrix& out, bool relu);
 

@@ -1,9 +1,9 @@
 // Portable fallback microkernels. The loops are blocked at a fixed width
 // of 8 elements so the compiler's vectorizer has a clean unit to work
 // with on any ISA, but every operation stays per-element independent (or,
-// for dot, strictly ascending-order) — this target reproduces the
-// historical scalar kernels bit-for-bit, which is what the cross-target
-// tolerance tests compare AVX2/AVX-512 against.
+// for the GEMM chain, strictly ascending-order) — this target reproduces
+// the historical scalar kernels bit-for-bit, which is what the
+// cross-target tolerance tests compare AVX2/AVX-512 against.
 //
 // The int8 ops are the semantic reference for the quantized tier: the
 // AVX2/AVX-512 implementations must match them bit-for-bit (integer
@@ -14,6 +14,8 @@
 #include "tensor/simd/simd.h"
 
 #include <cmath>
+
+#include "tensor/simd/gemm_chain.h"
 
 namespace gcnt {
 namespace {
@@ -28,13 +30,11 @@ void scalar_axpy(float* y, const float* x, float a, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-float scalar_dot(const float* a, const float* b, std::size_t n) {
-  // Ascending-order fp32 accumulation — the documented GEMM policy
-  // (matrix.h). Deliberately not blocked into partial sums: reassociation
-  // is the AVX2/AVX-512 targets' documented, tolerance-tested deviation.
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
+void scalar_gemm(const GemmBlock& g) {
+  // The per-term chain itself, with two roundings per term (no FMA).
+  simd_detail::gemm_chain_rows(
+      g, 0, g.m, 0, g.n,
+      [](float a, float b, float c) { return c + a * b; });
 }
 
 void scalar_bias_add(float* y, const float* bias, std::size_t n) {
@@ -118,7 +118,7 @@ void scalar_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
 namespace simd_detail {
 
 const SimdOps kScalarOps = {
-    "scalar",          scalar_axpy,     scalar_dot,
+    "scalar",          scalar_axpy,     scalar_gemm,
     scalar_bias_add,   scalar_bias_relu, scalar_relu,
     scalar_scale,      scalar_dot_u8s8, scalar_axpy_dq8,
     scalar_quantize_u8, scalar_dequantize_u8,

@@ -1,12 +1,12 @@
 #pragma once
 // Vectorized microkernel backend for the dense/sparse hot loops.
 //
-// Every inner loop the compute kernels spend their time in (GEMM row
-// update, SpMM row accumulation, dot products, the bias/ReLU epilogues,
-// the vec_ops.h row helpers, and the int8 quantized tier) funnels
-// through one table of function pointers — SimdOps — resolved once per
-// process by runtime CPU detection. Three implementations are built into
-// every binary:
+// Every inner loop the compute kernels spend their time in (the dense
+// GEMM tile, SpMM row accumulation, the bias/ReLU epilogues, the
+// vec_ops.h row helpers, and the int8 quantized tier) funnels through
+// one table of function pointers — SimdOps — resolved once per process
+// by runtime CPU detection. Three implementations are built into every
+// binary:
 //
 //   * scalar — portable fixed-width-blocked loops, no ISA requirements.
 //     The per-element accumulation order of the fp32 ops is exactly the
@@ -31,14 +31,12 @@
 //
 // Determinism contract (see docs/API.md "SIMD backend"):
 //   * For a FIXED target, every kernel built on these ops is bitwise
-//     deterministic across thread counts, SpMM tile widths, and runs —
-//     vector lanes map one-to-one onto output elements for the
-//     elementwise ops (axpy, bias/ReLU epilogues, scale), so no
-//     floating-point reassociation happens there at all.
+//     deterministic across thread counts, SpMM tile widths, GEMM tiles,
+//     and runs — vector lanes map one-to-one onto output elements, so no
+//     fp32 op reassociates a sum.
 //   * ACROSS targets the fp32 results differ within a small tolerance:
 //     the AVX2/AVX-512 ops contract multiply-add pairs to FMA (one
-//     rounding instead of two) and dot() accumulates in lane-blocked
-//     partial sums.
+//     rounding instead of two). AVX2 and AVX-512 are bitwise identical.
 //   * The int8 ops (dot_u8s8, axpy_dq8, quantize_u8, dequantize_u8) are
 //     bitwise identical ACROSS targets as well: integer accumulation is
 //     exact on every path, the dequantizing float steps are per-element
@@ -61,6 +59,37 @@ enum class SimdTarget : int {
   kAvx512 = 2,
 };
 
+/// One block of C = epilogue(chain), the argument of SimdOps::gemm
+/// (tensor/matrix.cpp partitions a whole GEMM into these). Element
+/// (i, j) runs ONE chain in ascending p:
+///
+///   acc = beta == 0 ? +0 : beta * C(i, j)
+///   for p in [0, k):  av = alpha * A(i, p)
+///                     if (av != 0) acc = madd(av, B(p, j), acc)
+///   if (bias) acc += bias[j];  if (relu) acc = max(acc, 0);  C(i, j) = acc
+///
+/// with madd(a, b, c) = fmaf(a, b, c) on AVX2/AVX-512 and c + a * b on
+/// scalar. The `av == 0` skip is part of the result: a zero in A masks a
+/// NaN or Inf in B. Splitting [0, k) into consecutive blocks (beta = 1
+/// after the first, bias/relu on the last) gives the same bits.
+struct GemmBlock {
+  std::size_t m = 0;  ///< rows of C
+  std::size_t n = 0;  ///< columns of C
+  std::size_t k = 0;  ///< chain length
+  /// A(i, p) = a[i * a_row + p * a_col]; a_row or a_col is 1.
+  const float* a = nullptr;
+  std::size_t a_row = 0;
+  std::size_t a_col = 0;
+  const float* b = nullptr;  ///< B(p, j) = b[p * ldb + j]
+  std::size_t ldb = 0;
+  float* c = nullptr;  ///< C(i, j) = c[i * ldc + j]; not read if beta == 0
+  std::size_t ldc = 0;
+  float alpha = 1.0f;
+  float beta = 0.0f;
+  const float* bias = nullptr;  ///< n entries, or none
+  bool relu = false;
+};
+
 /// The microkernel table. All pointers are always non-null.
 struct SimdOps {
   /// Human-readable target name ("scalar", "avx2", "avx512").
@@ -69,10 +98,10 @@ struct SimdOps {
   /// y[i] += a * x[i] for i in [0, n).
   void (*axpy)(float* y, const float* x, float a, std::size_t n);
 
-  /// sum of a[i] * b[i] over [0, n), fp32 accumulation. The scalar
-  /// target sums in ascending-i order; AVX2/AVX-512 sum lane-blocked
-  /// partials.
-  float (*dot)(const float* a, const float* b, std::size_t n);
+  /// The dense fp32 GEMM tile kernel: computes one GemmBlock (above)
+  /// under the one-chain policy. The vector targets run an MR x NR
+  /// register tile; scalar runs the per-term chain directly.
+  void (*gemm)(const GemmBlock& block);
 
   /// y[i] += bias[i] (row-broadcast bias epilogue).
   void (*bias_add)(float* y, const float* bias, std::size_t n);

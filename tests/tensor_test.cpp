@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <string>
 
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "gemm_reference.h"
 #include "tensor/matrix.h"
+#include "tensor/simd/simd.h"
 #include "tensor/sparse.h"
 
 namespace gcnt {
@@ -136,6 +141,154 @@ TEST(Gemm, BetaAccumulates) {
   Matrix want = naive_gemm(a, b, false, false, 1.0f);
   for (std::size_t i = 0; i < want.size(); ++i) want.data()[i] += 2.0f;
   expect_near(out, want);
+}
+
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) t.at(c, r) = m.at(r, c);
+  }
+  return t;
+}
+
+/// gemm in all four transpose variants (beta = 0 and, from `c0`, beta =
+/// 1) and gemm_bias_act against the one-chain oracle, bit for bit, on
+/// every target at 1 and 8 threads.
+void expect_gemm_matches_oracle(const Matrix& a, const Matrix& b,
+                                const Matrix& c0, const std::string& label) {
+  Rng rng(17);
+  const Matrix bias = random_matrix(1, b.cols(), rng);
+  const Matrix at = transposed(a);
+  const Matrix bt = transposed(b);
+  for (const SimdTarget target :
+       {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+    if (!simd_target_available(target)) continue;
+    ASSERT_TRUE(set_simd_target(target));
+    const Matrix want = one_chain_gemm(a, b, target);
+    ChainOptions acc;
+    acc.beta = 1.0f;
+    acc.c0 = &c0;
+    const Matrix want_acc = one_chain_gemm(a, b, target, acc);
+    ChainOptions fused;
+    fused.bias = &bias;
+    fused.relu = true;
+    const Matrix want_fused = one_chain_gemm(a, b, target, fused);
+    for (const int threads : {1, 8}) {
+      set_kernel_threads(threads);
+      const std::string where = label + " " + simd_target_name() +
+                                " n=" + std::to_string(b.cols()) +
+                                " threads=" + std::to_string(threads);
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          Matrix out;
+          gemm(ta ? at : a, tb ? bt : b, out, ta, tb);
+          EXPECT_EQ(first_bit_difference(out, want), -1)
+              << "ta=" << ta << " tb=" << tb << " " << where;
+          out = c0;
+          gemm(ta ? at : a, tb ? bt : b, out, ta, tb, 1.0f, 1.0f);
+          EXPECT_EQ(first_bit_difference(out, want_acc), -1)
+              << "beta=1 ta=" << ta << " tb=" << tb << " " << where;
+        }
+      }
+      Matrix out;
+      gemm_bias_act(a, b, bias, out, /*relu=*/true);
+      EXPECT_EQ(first_bit_difference(out, want_fused), -1)
+          << "gemm_bias_act " << where;
+    }
+    set_kernel_threads(0);
+  }
+  reset_simd_target();
+}
+
+// The zero-operand rule of the one-chain policy (tensor/matrix.h): a term
+// whose A value is zero is skipped, so a zero in A masks NaN/Inf in B,
+// while a NaN in A is a term and propagates. Pinned for all four variants
+// and gemm_bias_act, on every target, at 1 and 8 threads, for the wide
+// tile (n = 40) and the n = 2 path; results must match the per-element
+// oracle bit for bit.
+TEST(Gemm, ZeroOperandSemanticsPinned) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::size_t m = 40, k = 20;
+  for (const std::size_t n : {std::size_t{2}, std::size_t{40}}) {
+    Rng rng(91 + n);
+    Matrix a = random_matrix(m, k, rng);
+    Matrix b = random_matrix(k, n, rng);
+    for (std::size_t j = 0; j < n; ++j) {
+      b.at(3, j) = j % 3 == 0 ? nan : (j % 3 == 1 ? inf : -inf);
+    }
+    for (std::size_t i = 0; i < m; ++i) a.at(i, 3) = i == 5 ? 1.0f : 0.0f;
+    a.at(7, 2) = nan;
+    for (const SimdTarget target :
+         {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+      if (!simd_target_available(target)) continue;
+      const Matrix want = one_chain_gemm(a, b, target);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_TRUE(std::isfinite(want.at(0, j))) << "A = 0 masks B's NaN/Inf";
+        ASSERT_FALSE(std::isfinite(want.at(5, j))) << "A = 1 meets them";
+        ASSERT_TRUE(std::isnan(want.at(7, j))) << "NaN in A propagates";
+      }
+    }
+    expect_gemm_matches_oracle(a, b, random_matrix(m, n, rng), "masking");
+  }
+}
+
+// Signed zeros under the same rule, with B finite: a -0 start (beta != 0)
+// survives a zero term, also in a column of B that holds only zeros; so
+// does a -0 that an underflowing fma leaves behind; an empty A block
+// keeps its start. These are the cases where a chain without the skip
+// would end at +0 instead.
+TEST(Gemm, SignedZeroChainsPinned) {
+  const std::size_t m = 48, k = 20;
+  // An underflow anywhere in a block makes the kernel re-run every zero
+  // result of that block, which would hide the -0 start case: one design
+  // without and one with the underflowing row.
+  for (const bool underflow : {false, true}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{40}}) {
+      Rng rng(191 + n);
+      Matrix a = random_matrix(m, k, rng);
+      Matrix b = random_matrix(k, n, rng);
+      for (std::size_t j = 0; j < n; ++j) b.at(4, j) = -0.0f;
+      // The last column of B is all zeros of both signs (a dead unit).
+      for (std::size_t p = 0; p < k; ++p) {
+        b.at(p, n - 1) = p % 2 ? 0.0f : -0.0f;
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        a.at(9, p) = p == 4 ? 1.0f : 0.0f;  // one term: 1 * -0
+        a.at(10, p) = 0.0f;                  // no term at all
+        // Rows 24..47 are empty but for one term in the last row, so a
+        // whole register tile holds a single live row at its end.
+        for (std::size_t i = 24; i < m; ++i) {
+          a.at(i, p) = i + 1 == m && p == 7 ? 2.0f : 0.0f;
+        }
+      }
+      if (underflow) {
+        for (std::size_t j = 0; j + 1 < n; ++j) b.at(0, j) = -1e-30f;
+        for (std::size_t p = 0; p < k; ++p) {
+          a.at(11, p) = p == 0 ? 1e-30f : 0.0f;  // one term, underflows
+        }
+      }
+      const Matrix neg_zero(m, n, -0.0f);
+      for (const SimdTarget target :
+           {SimdTarget::kScalar, SimdTarget::kAvx2, SimdTarget::kAvx512}) {
+        if (!simd_target_available(target)) continue;
+        ChainOptions acc;
+        acc.beta = 1.0f;
+        acc.c0 = &neg_zero;
+        const Matrix want_acc = one_chain_gemm(a, b, target, acc);
+        const Matrix want = one_chain_gemm(a, b, target);
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_TRUE(std::signbit(want_acc.at(9, j))) << "-0 + 1 * -0";
+          ASSERT_TRUE(std::signbit(want_acc.at(10, j))) << "-0, no terms";
+          if (underflow && target != SimdTarget::kScalar && j + 1 < n) {
+            ASSERT_TRUE(std::signbit(want.at(11, j))) << "fma underflows";
+          }
+        }
+      }
+      expect_gemm_matches_oracle(a, b, neg_zero,
+                                 underflow ? "underflow" : "signed zeros");
+    }
+  }
 }
 
 TEST(Gemm, InnerDimensionMismatchThrows) {
