@@ -13,6 +13,7 @@
 //
 //   OPI_Incremental/nodes:N.full_infer.real_time_ns   (gated, lower better)
 //   OPI_Incremental/nodes:N.update.real_time_ns       (gated, lower better)
+//   OPI_Incremental/nodes:N.round.real_time_ns        (context only)
 //   OPI_Incremental_speedup/nodes:N                   (context only)
 //   OPI_Incremental_dirty_fraction/nodes:N            (context only)
 
@@ -63,6 +64,7 @@ struct SizeResult {
   std::size_t nodes = 0;
   double full_infer_s = 0.0;  ///< mean whole-graph forward
   double update_s = 0.0;      ///< mean dirty-cone update (affected+update)
+  double round_s = 0.0;  ///< mean edit round: insertions, CSR, update
   double dirty_fraction = 0.0;
   bool identical = true;
   bool fallback_hit = false;
@@ -100,11 +102,13 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
   }
 
   double update_total = 0.0;
+  double round_total = 0.0;
   double infer_total = 0.0;
   std::size_t dirty_total = 0;
   DirtyConeTracker tracker;
   for (std::size_t round = 0; round < rounds; ++round) {
     // The insertion batch, exactly as run_gcn_opi applies it.
+    Timer round_timer;
     for (std::size_t i = 0; i < kBatch; ++i) {
       const NodeId target = targets[round * kBatch + i];
       const NodeId op = netlist.insert_observe_point(target);
@@ -127,6 +131,7 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
         tracker.affected(tensors, model.config().depth);
     engine.update(tensors, dirty);
     update_total += update_timer.seconds();
+    round_total += round_timer.seconds();
     tracker.clear();
     dirty_total += engine.last_dirty_rows();
     result.fallback_hit |= engine.last_was_full();
@@ -142,6 +147,7 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
   const auto r = static_cast<double>(rounds);
   result.full_infer_s = infer_total / r;
   result.update_s = update_total / r;
+  result.round_s = round_total / r;
   result.dirty_fraction = static_cast<double>(dirty_total) /
                           (r * static_cast<double>(tensors.node_count()));
   return result;
@@ -157,11 +163,11 @@ int main() {
   std::cout << "# Incremental OPI inference: dirty-cone update vs full "
                "forward (batch of "
             << kBatch << " OPs per round, " << kRounds << " rounds)\n";
-  std::cout << "nodes,full_infer_s,update_s,speedup,dirty_fraction,"
+  std::cout << "nodes,full_infer_s,update_s,round_s,speedup,dirty_fraction,"
                "identical\n";
   Table table("Incremental OPI inference",
-              {"#Nodes", "Full infer (s)", "Update (s)", "Speedup",
-               "Dirty %", "Identical"});
+              {"#Nodes", "Full infer (s)", "Update (s)", "Round (s)",
+               "Speedup", "Dirty %", "Identical"});
 
   std::vector<std::pair<std::string, double>> entries;
   bool all_identical = true;
@@ -173,12 +179,14 @@ int main() {
     all_identical &= r.identical;
 
     std::cout << r.nodes << "," << Table::num(r.full_infer_s, 4) << ","
-              << Table::num(r.update_s, 4) << "," << Table::num(speedup, 2)
+              << Table::num(r.update_s, 4) << ","
+              << Table::num(r.round_s, 4) << "," << Table::num(speedup, 2)
               << "," << Table::num(100.0 * r.dirty_fraction, 2) << ","
               << (r.identical ? "yes" : "NO")
               << (r.fallback_hit ? " (fallback hit)" : "") << "\n";
     table.add_row({std::to_string(r.nodes), Table::num(r.full_infer_s, 4),
-                   Table::num(r.update_s, 4), Table::num(speedup, 2),
+                   Table::num(r.update_s, 4), Table::num(r.round_s, 4),
+                   Table::num(speedup, 2),
                    Table::num(100.0 * r.dirty_fraction, 2),
                    r.identical ? "yes" : "NO"});
 
@@ -187,6 +195,7 @@ int main() {
     entries.emplace_back(base + ".full_infer.real_time_ns",
                          r.full_infer_s * 1e9);
     entries.emplace_back(base + ".update.real_time_ns", r.update_s * 1e9);
+    entries.emplace_back(base + ".round.real_time_ns", r.round_s * 1e9);
     entries.emplace_back(
         "OPI_Incremental_speedup/nodes:" + std::to_string(r.nodes), speedup);
     entries.emplace_back(

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "common/stats.h"
@@ -261,6 +262,10 @@ void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
                           const ScoapMeasures& scoap,
                           const std::vector<NodeId>& refreshed,
                           std::vector<NodeId>* changed_rows) {
+  if (tensors.features.cols() != kNodeFeatureDim) {
+    throw std::invalid_argument(
+        "append_observe_point: tensors have no feature matrix");
+  }
   // Appended tuples, mirroring the paper's incremental COO update. The
   // shapes are grown explicitly to the post-insertion node count first so
   // a miscomputed coordinate throws instead of silently stretching the
@@ -272,18 +277,12 @@ void append_observe_point(GraphTensors& tensors, const Netlist& netlist,
   tensors.succ_coo.add_checked(target, op, 1.0f);
 
   // New feature row: the paper assigns the new node [0, 1, 1, 0].
-  Matrix grown(netlist.size(), kNodeFeatureDim);
-  for (std::size_t r = 0; r < tensors.features.rows(); ++r) {
-    for (std::size_t c = 0; c < kNodeFeatureDim; ++c) {
-      grown.at(r, c) = tensors.features.at(r, c);
-    }
-  }
-  float* row = grown.row(op);
+  grow_rows(tensors.features, n_after);
+  float* row = tensors.features.row(op);
   row[0] = tensors.encode(0, 0.0);
   row[1] = tensors.encode(1, 1.0);
   row[2] = tensors.encode(2, 1.0);
   row[3] = tensors.encode(3, 0.0);
-  tensors.features = std::move(grown);
   if (!tensors.labels.empty()) tensors.labels.resize(netlist.size(), 0);
 
   // Observability changed only in the fan-in cone of the target — and the

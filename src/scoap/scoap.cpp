@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/trace.h"
 
@@ -155,6 +158,26 @@ std::uint32_t scoap_observe_through(const Netlist& netlist, NodeId g,
   return kScoapInfinity;
 }
 
+namespace {
+
+/// CO of a non-sink node: its cheapest path through any fanout slot, given
+/// the fanouts' current CO.
+std::uint32_t observe_from_fanouts(const Netlist& netlist, NodeId v,
+                                   const ScoapMeasures& measures) {
+  std::uint32_t best = kScoapInfinity;
+  for (NodeId g : netlist.fanouts(v)) {
+    const auto& gf = netlist.fanins(g);
+    for (std::size_t slot = 0; slot < gf.size(); ++slot) {
+      if (gf[slot] != v) continue;
+      best = std::min(best, scoap_observe_through(netlist, g, slot, measures,
+                                                  measures.co[g]));
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 void compute_controllability(const Netlist& netlist, ScoapMeasures& measures) {
   const auto order = netlist.topological_order();
   measures.cc0.assign(netlist.size(), kScoapInfinity);
@@ -174,16 +197,7 @@ void compute_observability(const Netlist& netlist, ScoapMeasures& measures) {
       measures.co[v] = 0;  // value lands in a scan cell / on a pin
       continue;
     }
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist.fanouts(v)) {
-      const auto& gf = netlist.fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(best, scoap_observe_through(netlist, g, slot,
-                                                    measures, measures.co[g]));
-      }
-    }
-    measures.co[v] = best;
+    measures.co[v] = observe_from_fanouts(netlist, v, measures);
   }
 }
 
@@ -206,25 +220,44 @@ void resize_for(const Netlist& netlist, ScoapMeasures& measures) {
 void update_observability_after_observe(const Netlist& netlist, NodeId target,
                                         ScoapMeasures& measures) {
   resize_for(netlist, measures);
-  // Only nodes in the fan-in cone of `target` (inclusive) can improve.
-  auto cone = netlist.fanin_cone(target);
-  cone.push_back(target);
-  const auto levels = netlist.logic_levels();
-  std::sort(cone.begin(), cone.end(), [&](NodeId a, NodeId b) {
-    return levels[a] > levels[b];
-  });
-  for (NodeId v : cone) {
-    if (is_sink(netlist.type(v))) continue;
-    std::uint32_t best = kScoapInfinity;
-    for (NodeId g : netlist.fanouts(v)) {
-      const auto& gf = netlist.fanins(g);
-      for (std::size_t slot = 0; slot < gf.size(); ++slot) {
-        if (gf[slot] != v) continue;
-        best = std::min(best, scoap_observe_through(netlist, g, slot,
-                                                    measures, measures.co[g]));
+  // Only the fan-in cone of `target` (inclusive) can improve, and fanouts
+  // outside it keep their CO, so the cone only needs an order of its own
+  // in which every node runs after its in-cone fanouts: the reverse of an
+  // iterative DFS post-order over fanins. Like fanin_cone, the walk
+  // expands the root even when it is a source and stops at every other
+  // source.
+  enum : std::uint8_t { kUnseen, kOpen, kDone };
+  std::vector<std::uint8_t> state(netlist.size(), kUnseen);
+  const bool root_is_source = is_source(netlist.type(target));
+  std::vector<NodeId> post_order;
+  std::vector<std::pair<NodeId, std::size_t>> stack{{target, 0}};
+  state[target] = kOpen;
+  while (!stack.empty()) {
+    const NodeId v = stack.back().first;
+    const auto& fanins = netlist.fanins(v);
+    std::size_t& next = stack.back().second;
+    if (next < fanins.size() &&
+        (v == target || !is_source(netlist.type(v)))) {
+      const NodeId u = fanins[next++];
+      if (state[u] == kUnseen) {
+        state[u] = kOpen;
+        stack.emplace_back(u, 0);
+      } else if (state[u] == kOpen && (u != target || !root_is_source)) {
+        // Every edge into an expanded node other than a source root is
+        // combinational, so reaching an open node closes a cycle.
+        throw std::runtime_error("Netlist '" + netlist.name() +
+                                 "' contains a combinational cycle");
       }
+      continue;
     }
-    measures.co[v] = best;
+    state[v] = kDone;
+    post_order.push_back(v);
+    stack.pop_back();
+  }
+  for (auto it = post_order.rbegin(); it != post_order.rend(); ++it) {
+    if (!is_sink(netlist.type(*it))) {
+      measures.co[*it] = observe_from_fanouts(netlist, *it, measures);
+    }
   }
 }
 

@@ -44,8 +44,12 @@ void compute_observability(const Netlist& netlist, ScoapMeasures& measures);
 
 /// Incrementally repairs observability after insert_observe_point(target):
 /// controllability is unaffected, and CO can only change inside the fan-in
-/// cone of `target`, which this updates in reverse-level order. `measures`
-/// must be resized by the caller via `resize_for`.
+/// cone of `target` (stopping at sources, as fanin_cone does). The cone is
+/// updated in a cone-local reverse topological order, the reverse of an
+/// iterative DFS post-order over fanins, so the cost is proportional to the
+/// cone, not the netlist, and the result equals a full
+/// compute_observability. Calls resize_for itself. Throws
+/// std::runtime_error on a combinational cycle inside the cone.
 void update_observability_after_observe(const Netlist& netlist,
                                         NodeId target,
                                         ScoapMeasures& measures);

@@ -71,9 +71,12 @@ void scatter_rows(const Matrix& compact, const std::vector<std::uint32_t>& rows,
 
 void grow_rows(Matrix& m, std::size_t new_rows) {
   if (new_rows <= m.rows()) return;
-  Matrix grown(new_rows, m.cols());
-  std::copy(m.data(), m.data() + m.size(), grown.data());
-  m = std::move(grown);
+  const std::size_t old_size = m.size();
+  if (new_rows * m.cols() > m.capacity()) {
+    m.reserve((new_rows + new_rows / 8) * m.cols());
+  }
+  m.resize_for_overwrite(new_rows, m.cols());
+  std::fill(m.data() + old_size, m.data() + m.size(), 0.0f);
 }
 
 namespace {

@@ -107,7 +107,10 @@ void scatter_rows(const Matrix& compact, const std::vector<std::uint32_t>& rows,
                   Matrix& dst);
 
 /// Grows `m` to new_rows rows when it has fewer, keeping the existing rows
-/// and zero-filling the new ones. Allocates exactly the new size.
+/// bitwise and zero-filling the new ones. Grows in place while capacity()
+/// allows; otherwise reallocates with an eighth of new_rows as headroom, so
+/// a run of small appends (one OP per call) reallocates a bounded number of
+/// times. Untouched headroom pages stay out of the resident set.
 void grow_rows(Matrix& m, std::size_t new_rows);
 
 /// out = alpha * op(a) * op(b) + beta * out, with op = optional transpose.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/metrics.h"
@@ -145,6 +146,15 @@ TEST(GraphTensors, IncrementalObservePointMatchesRebuild) {
   }
   EXPECT_EQ(fresh.pred.nnz(), tensors.pred.nnz());
   EXPECT_EQ(fresh.succ.nnz(), tensors.succ.nnz());
+}
+
+TEST(GraphTensors, AppendObservePointRejectsMissingFeatures) {
+  Netlist n = read_bench_string("INPUT(a)\nOUTPUT(g)\ng = NOT(a)\n");
+  const auto scoap = compute_scoap(n);
+  const NodeId op = n.insert_observe_point(0);
+  GraphTensors empty;  // never built: no feature matrix to grow
+  EXPECT_THROW(append_observe_point(empty, n, 0, op, scoap, {}),
+               std::invalid_argument);
 }
 
 TEST(GcnModel, ForwardShapeAndDeterminism) {

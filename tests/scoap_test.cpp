@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
 #include "scoap/scoap.h"
@@ -167,6 +169,75 @@ TEST(Scoap, IncrementalUpdateMatchesFullRecompute) {
     EXPECT_EQ(incremental.cc0[v], full.cc0[v]) << "node " << v;
     EXPECT_EQ(incremental.cc1[v], full.cc1[v]) << "node " << v;
   }
+}
+
+TEST(Scoap, IncrementalUpdateOrdersReconvergentCone) {
+  // a reaches t directly through u and through the longer v <- m path. A
+  // breadth-first walk from t meets a (depth 2) before m (depth 2, later in
+  // the queue), so an update in that order would read m's stale CO. The
+  // long path is the cheaper one: co(a) = co(m) + 1 = 7, against 9 through
+  // u, because a = OR(...) is cheap to set to 1 but not to 0.
+  Netlist n = read_bench_string(
+      "INPUT(p1)\nINPUT(p2)\nINPUT(p3)\nINPUT(q)\nOUTPUT(q)\n"
+      "a = OR(p1, p2, p3)\nu = AND(a, q)\nm = BUF(a)\nv = NOT(m)\n"
+      "t = AND(u, v)\n");
+  auto m = compute_scoap(n);
+  const NodeId t = by_name(n, "t");
+  const NodeId a = by_name(n, "a");
+  EXPECT_EQ(m.co[a], kScoapInfinity);  // t drives nothing yet
+
+  n.insert_observe_point(t);
+  update_observability_after_observe(n, t, m);
+  EXPECT_EQ(m.co[a], 7u);
+  const auto full = compute_scoap(n);
+  ASSERT_EQ(m.co.size(), full.co.size());
+  for (NodeId v = 0; v < n.size(); ++v) {
+    EXPECT_EQ(m.co[v], full.co[v]) << n.node_name(v);
+  }
+}
+
+TEST(Scoap, IncrementalUpdateWalksDeepConeIteratively) {
+  // A 100k-gate NOT/BUF chain with an OP at its end: the whole chain is
+  // the cone, deep enough that a recursive walk would risk the stack.
+  constexpr std::size_t kDepth = 100000;
+  Netlist n;
+  NodeId prev = n.add_node(CellType::kInput);
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    const NodeId g = n.add_node(i % 2 ? CellType::kBuf : CellType::kNot);
+    n.connect(prev, g);
+    prev = g;
+  }
+  auto m = compute_scoap(n);
+  n.insert_observe_point(prev);
+  update_observability_after_observe(n, prev, m);
+  EXPECT_EQ(m.co[0], kDepth);
+  EXPECT_EQ(m.co, compute_scoap(n).co);
+}
+
+TEST(Scoap, IncrementalUpdateRejectsCycleInCone) {
+  Netlist n;
+  const NodeId a = n.add_node(CellType::kInput);
+  const NodeId g = n.add_node(CellType::kAnd);
+  const NodeId h = n.add_node(CellType::kBuf);
+  n.connect(a, g);
+  n.connect(h, g);
+  n.connect(g, h);
+  ScoapMeasures m;
+  n.insert_observe_point(g);
+  EXPECT_THROW(update_observability_after_observe(n, g, m),
+               std::runtime_error);
+}
+
+TEST(Scoap, IncrementalUpdateFollowsLoopThroughFlop) {
+  // q = DFF(d), d = NOT(q): a sequential loop, not a cycle. An OP on the
+  // flop walks into its D logic and back to the flop, which is fine.
+  Netlist n = read_bench_string(
+      "INPUT(a)\nOUTPUT(o)\nq = DFF(d)\nd = NAND(q, a)\no = BUF(a)\n");
+  auto m = compute_scoap(n);
+  const NodeId q = by_name(n, "q");
+  n.insert_observe_point(q);
+  update_observability_after_observe(n, q, m);
+  EXPECT_EQ(m.co, compute_scoap(n).co);
 }
 
 TEST(Scoap, DuplicateFaninHandled) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -68,6 +71,44 @@ TEST(Matrix, ConstructAndAccess) {
   m.at(1, 2) = -2.0f;
   EXPECT_FLOAT_EQ(m.at(1, 2), -2.0f);
   EXPECT_FLOAT_EQ(m.row(1)[2], -2.0f);
+}
+
+TEST(Matrix, GrowRowsKeepsRowsAndZeroFills) {
+  Matrix m(3, 4);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(i) - 5.5f;
+  }
+  m.at(1, 1) = -0.0f;
+  m.at(2, 3) = std::numeric_limits<float>::quiet_NaN();
+  const Matrix before = m;
+  grow_rows(m, 7);
+  ASSERT_EQ(m.rows(), 7u);
+  ASSERT_EQ(m.cols(), 4u);
+  EXPECT_EQ(std::memcmp(m.data(), before.data(), before.size() * sizeof(float)),
+            0);
+  for (std::size_t i = before.size(); i < m.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(m.data()[i]), 0u) << i;
+  }
+  grow_rows(m, 2);  // never shrinks
+  EXPECT_EQ(m.rows(), 7u);
+}
+
+TEST(Matrix, GrowRowsReallocatesBoundedTimes) {
+  // One row per call, as the edit path appends one OP at a time: the
+  // headroom keeps reallocations geometric (an eighth per step needs about
+  // six to double), not one per call.
+  Matrix m(1000, 4, 1.0f);
+  std::size_t reallocations = 0;
+  for (std::size_t rows = 1001; rows <= 2000; ++rows) {
+    const std::size_t capacity = m.capacity();
+    grow_rows(m, rows);
+    m.at(rows - 1, 0) = 2.0f;
+    if (m.capacity() != capacity) ++reallocations;
+  }
+  EXPECT_LE(reallocations, 8u);
+  EXPECT_EQ(m.at(999, 3), 1.0f);
+  EXPECT_EQ(m.at(1999, 0), 2.0f);
+  EXPECT_EQ(m.at(1999, 1), 0.0f);
 }
 
 TEST(Matrix, FillAndScale) {
