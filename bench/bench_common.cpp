@@ -11,7 +11,6 @@
 #include "common/table.h"
 #include "common/timer.h"
 #include "gcn/graph_tensors.h"
-#include "gcn/quant.h"
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
 #include "tensor/simd/simd.h"
@@ -136,25 +135,18 @@ bool write_bench_json(
       // v3 added SIMD dispatch + graph reordering provenance; v4 the
       // serve daemon's loadgen keys ("serve.qps", "serve.p99_ms" — see
       // bench/loadgen.cpp); v5 the sharded out-of-core keys ("shard.*" —
-      // see bench/fig10_sharded.cpp); v6 the quantized tier: a
-      // "schema.precision" string plus numeric "simd.target" /
-      // "precision" gauges so every bench file carries the resolved
-      // dispatch path and inference tier that produced it. String-valued
-      // "schema." entries are metadata; bench_gate ignores them when
-      // comparing.
-      out << "  \"schema.version\": 6,\n";
+      // see bench/fig10_sharded.cpp); v6 the numeric "simd.target"
+      // gauge (and an int8-tier precision pair); v7 drops the precision
+      // pair with the int8 tier. String-valued "schema." entries are
+      // metadata; bench_gate ignores them when comparing.
+      out << "  \"schema.version\": 7,\n";
       out << "  \"schema.simd\": \"" << simd_target_name() << "\",\n";
-      out << "  \"schema.precision\": \""
-          << precision_name(resolve_precision()) << "\",\n";
       out << "  \"schema.reorder\": \""
           << (graph_reorder() == GraphReorder::kRcm ? "rcm" : "off")
           << "\",\n";
-      // Numeric gauges use the stats-registry encodings ("simd.target":
-      // 0 scalar / 1 avx2 / 2 avx512; "precision": 0 fp32 / 1 int8).
+      // The numeric gauge uses the stats-registry encoding
+      // ("simd.target": 0 scalar / 1 avx2 / 2 avx512).
       out << "  \"simd.target\": " << static_cast<int>(simd_target())
-          << ",\n";
-      out << "  \"precision\": "
-          << static_cast<int>(resolve_precision())
           << (entries.empty() ? "\n" : ",\n");
       for (std::size_t i = 0; i < entries.size(); ++i) {
         out << "  \"" << entries[i].first << "\": " << entries[i].second

@@ -146,46 +146,15 @@ void tile_sweep(const GraphTensors& tensors, std::size_t node_count) {
   table.print(std::cout);
 }
 
-/// Precision sweep at the largest swept size: one full sparse inference
-/// per tier (fp32, then int8 after calibrating the same weights), plus a
-/// thread-count rerun of the int8 tier to confirm its bitwise
-/// determinism contract (gcn/quant.h). Returns the flat entries for
-/// GCNT_BENCH_JSON; leaves the model back on fp32.
-std::vector<std::pair<std::string, double>> precision_sweep(
-    GcnModel& model, const GraphTensors& tensors, std::size_t node_count) {
-  std::cout << "\n# Inference precision sweep at " << node_count
-            << " nodes\nprecision,infer_s,speedup,deterministic\n";
-  Table table("Precision sweep at " + std::to_string(node_count) + " nodes",
-              {"Precision", "Inference (s)", "Speedup", "Deterministic"});
-
+/// One timed whole-graph inference on 8 kernel threads at the largest
+/// swept size, the "fig10.infer_fp32_s" entry for GCNT_BENCH_JSON.
+double timed_inference(const GcnModel& model, const GraphTensors& tensors) {
   set_kernel_threads(8);
-  Timer fp32_timer;
+  Timer timer;
   (void)model.infer(tensors);
-  const double fp32_seconds = fp32_timer.seconds();
-
-  model.set_precision(Precision::kInt8);
-  Timer int8_timer;
-  const Matrix int8_logits = model.infer(tensors);
-  const double int8_seconds = int8_timer.seconds();
-  set_kernel_threads(2);
-  const Matrix int8_rerun = model.infer(tensors);
-  const bool deterministic = int8_rerun == int8_logits;
+  const double seconds = timer.seconds();
   set_kernel_threads(0);
-  model.set_precision(Precision::kFp32);
-
-  const double speedup = fp32_seconds / std::max(int8_seconds, 1e-12);
-  std::cout << "fp32," << Table::num(fp32_seconds, 4) << ",1.00,yes\n"
-            << "int8," << Table::num(int8_seconds, 4) << ","
-            << Table::num(speedup, 2) << ","
-            << (deterministic ? "yes" : "NO") << "\n\n";
-  table.add_row({"fp32", Table::num(fp32_seconds, 4), "1.00", "yes"});
-  table.add_row({"int8", Table::num(int8_seconds, 4),
-                 Table::num(speedup, 2), deterministic ? "yes" : "NO"});
-  table.print(std::cout);
-
-  return {{"fig10.infer_fp32_s", fp32_seconds},
-          {"fig10.infer_int8_s", int8_seconds},
-          {"fig10.quant_speedup", speedup}};
+  return seconds;
 }
 
 }  // namespace
@@ -263,7 +232,8 @@ int main() {
   if (last_nodes > 0) {
     thread_sweep(model, last_tensors, last_nodes);
     tile_sweep(last_tensors, last_nodes);
-    const auto entries = precision_sweep(model, last_tensors, last_nodes);
+    const std::vector<std::pair<std::string, double>> entries = {
+        {"fig10.infer_fp32_s", timed_inference(model, last_tensors)}};
     if (const char* path = std::getenv("GCNT_BENCH_JSON")) {
       if (!bench::write_bench_json(path, entries)) {
         std::cerr << "fig10: failed to write GCNT_BENCH_JSON to " << path

@@ -24,7 +24,6 @@
 #include "common/trace.h"
 #include "cop/cop.h"
 #include "gcn/model.h"
-#include "gcn/quant.h"
 #include "gen/generator.h"
 #include "nn/layers.h"
 #include "scoap/scoap.h"
@@ -218,71 +217,6 @@ void BM_SpmmSimd(benchmark::State& state) {
   // scalar/avx2 ratio in main() is a plain time quotient.
 }
 BENCHMARK(BM_SpmmSimd)->ArgsProduct({{0, 1}})->ArgNames({"simd"});
-
-/// Dense layer per precision tier (precision 0 = fp32 fused GEMM,
-/// 1 = int8 dot_u8s8 with the dequant+bias+ReLU epilogue). The int8 leg
-/// pays the per-iteration activation quantization the real forward pays
-/// per layer. Feeds the "QuantSpeedup.gemm" ratio entry in main().
-void BM_GemmInt8(benchmark::State& state) {
-  const bool int8 = state.range(0) != 0;
-  set_kernel_threads(1);
-  Rng rng(3);
-  Matrix x(20000, 128);
-  x.xavier_init(rng);
-  Linear layer(128, 128, rng);
-  Matrix out;
-  if (int8) {
-    const QuantizedLinear q = quantize_linear(layer);
-    QuantizedTensor qx;
-    for (auto _ : state) {
-      quantize_tensor(x, qx);
-      quantized_linear_forward(qx, q, layer.bias.value, out, /*relu=*/true);
-      benchmark::DoNotOptimize(out.data());
-    }
-  } else {
-    for (auto _ : state) {
-      gemm_bias_act(x, layer.weight.value, layer.bias.value, out,
-                    /*relu=*/true);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  // No SetItemsProcessed: both legs record real_time_ns so the ratio in
-  // main() is a plain time quotient.
-}
-BENCHMARK(BM_GemmInt8)->ArgsProduct({{0, 1}})->ArgNames({"precision"});
-
-/// Single-thread SpMM aggregation per precision tier (precision 0 = fp32
-/// CsrMatrix::spmm, 1 = int8 spmm_q8). The dense operand is quantized
-/// once outside the loop: in the real forward one activation encode
-/// serves both the pred and succ SpMMs, so the kernel comparison is the
-/// honest one. 128 columns x ~100k rows keeps the gathered working set
-/// well past the LLC, where the u8 codes' 4x bandwidth advantage is the
-/// point. Feeds "QuantSpeedup.spmm" (gated >= 1.5 in the baseline).
-void BM_SpmmInt8(benchmark::State& state) {
-  const bool int8 = state.range(0) != 0;
-  set_kernel_threads(1);
-  const Netlist& netlist = shared_netlist(100000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  Rng rng(11);
-  Matrix embedding(tensors.node_count(), 128);
-  embedding.xavier_init(rng);
-  Matrix out;
-  if (int8) {
-    QuantizedTensor q;
-    quantize_tensor(embedding, q);
-    for (auto _ : state) {
-      spmm_q8(tensors.pred, q, out);
-      benchmark::DoNotOptimize(out.data());
-    }
-  } else {
-    for (auto _ : state) {
-      tensors.pred.spmm(embedding, out);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  // No SetItemsProcessed: see BM_GemmInt8.
-}
-BENCHMARK(BM_SpmmInt8)->ArgsProduct({{0, 1}})->ArgNames({"precision"});
 
 /// Dense layer with the bias+ReLU epilogue either fused into the GEMM
 /// output pass (gemm_bias_act) or applied as separate passes afterwards.
@@ -500,26 +434,6 @@ int main(int argc, char** argv) {
     const double* avx2_ns = find_entry(speedup.avx2);
     if (scalar_ns != nullptr && avx2_ns != nullptr && *avx2_ns > 0.0) {
       entries.emplace_back(speedup.key, *scalar_ns / *avx2_ns);
-    }
-  }
-  // Int8-over-fp32 speedups from the BM_*Int8 precision pairs (fp32 time
-  // / int8 time). "QuantSpeedup.spmm" carries the headline claim: the
-  // committed baseline pins it >= 1.5 under the bench gate.
-  const struct {
-    const char* key;
-    const char* fp32;
-    const char* int8;
-  } kQuantSpeedups[] = {
-      {"QuantSpeedup.gemm", "BM_GemmInt8/precision:0",
-       "BM_GemmInt8/precision:1"},
-      {"QuantSpeedup.spmm", "BM_SpmmInt8/precision:0",
-       "BM_SpmmInt8/precision:1"},
-  };
-  for (const auto& speedup : kQuantSpeedups) {
-    const double* fp32_ns = find_entry(speedup.fp32);
-    const double* int8_ns = find_entry(speedup.int8);
-    if (fp32_ns != nullptr && int8_ns != nullptr && *int8_ns > 0.0) {
-      entries.emplace_back(speedup.key, *fp32_ns / *int8_ns);
     }
   }
   if (const char* path = std::getenv("GCNT_BENCH_JSON")) {

@@ -112,10 +112,10 @@ SizeResult run_size(const GcnModel& model, std::size_t gates) {
     for (std::size_t i = 0; i < kBatch; ++i) {
       const NodeId target = targets[round * kBatch + i];
       const NodeId op = netlist.insert_observe_point(target);
-      update_observability_after_observe(netlist, target, scoap);
+      const std::vector<NodeId> cone =
+          update_observability_after_observe(netlist, target, scoap);
       levels.resize(netlist.size(), 0);
       levels[op] = levels[target] + 1;
-      const std::vector<NodeId> cone = netlist.fanin_cone(target);
       std::vector<NodeId> changed_rows;
       append_observe_point(tensors, netlist, target, op, scoap, cone,
                            &changed_rows);

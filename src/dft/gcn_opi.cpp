@@ -148,10 +148,10 @@ OpiResult run_gcn_opi(Netlist& netlist,
   // a resumed run reproduces the interrupted run's netlist exactly.
   const auto apply_insertion = [&](NodeId target) {
     const NodeId op = netlist.insert_observe_point(target);
-    update_observability_after_observe(netlist, target, scoap);
+    const std::vector<NodeId> cone =
+        update_observability_after_observe(netlist, target, scoap);
     levels.resize(netlist.size(), 0);
     levels[op] = levels[target] + 1;
-    const std::vector<NodeId> cone = netlist.fanin_cone(target);
     std::vector<NodeId> changed_rows;
     append_observe_point(tensors, netlist, target, op, scoap, cone,
                          &changed_rows);

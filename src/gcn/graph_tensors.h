@@ -134,7 +134,8 @@ GraphTensors build_graph_tensors(const Netlist& netlist);
 /// Incremental update after netlist.insert_observe_point(target) created
 /// node `op`: appends the COO tuples and the new feature row ([0,1,1,0]
 /// per the paper), and refreshes the observability feature of the nodes in
-/// `refreshed` (the fan-in cone whose SCOAP CO changed). Does NOT rebuild
+/// `refreshed` (the fan-in cone whose SCOAP CO changed, as returned by
+/// update_observability_after_observe). Does NOT rebuild
 /// the CSR forms; call rebuild_csr() once per insertion round.
 ///
 /// When `changed_rows` is non-null, every refreshed node whose stored

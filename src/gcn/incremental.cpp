@@ -80,7 +80,6 @@ const Matrix& IncrementalGcnEngine::refresh(const GraphTensors& tensors) {
   GCNT_KERNEL_SCOPE("gcn.incremental.refresh");
   TraceSpan span("gcn.incremental.refresh");
   span.arg("nodes", static_cast<double>(tensors.node_count()));
-  model_->count_fp32_fallback();
   model_->infer_embeddings(tensors, ws_, logits_, embeddings_);
   cached_nodes_ = tensors.node_count();
   last_was_full_ = true;
@@ -110,7 +109,6 @@ const Matrix& IncrementalGcnEngine::update(const GraphTensors& tensors,
   TraceSpan span("gcn.incremental.update");
   span.arg("nodes", static_cast<double>(n));
   span.arg("dirty", static_cast<double>(dirty.size()));
-  model_->count_fp32_fallback();
   last_was_full_ = false;
   last_dirty_rows_ = dirty.size();
 
@@ -139,11 +137,10 @@ const Matrix& IncrementalGcnEngine::update(const GraphTensors& tensors,
   // bit-identical to a full forward (GcnModel::layer_step).
   for (std::size_t d = 0; d + 1 < embeddings_.size(); ++d) {
     model_->layer_step(d, tensors.pred, tensors.succ, embeddings_[d],
-                       &dirty_rows_, Precision::kFp32, ws_, ws_.ping);
+                       &dirty_rows_, ws_, ws_.ping);
     scatter_rows(ws_.ping, dirty_rows_, embeddings_[d + 1]);
   }
-  scatter_rows(model_->fc_head(ws_.ping, ws_.pong, Precision::kFp32, ws_),
-               dirty, logits_);
+  scatter_rows(model_->fc_head(ws_.ping, ws_.pong), dirty, logits_);
   return logits_;
 }
 

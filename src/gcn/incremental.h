@@ -18,9 +18,7 @@
 // GcnModel::layer_step on the dirty rows of each layer, then
 // GcnModel::fc_head. A row-set layer step reproduces the all-rows bits,
 // so the incremental path is bit-identical to GcnModel::infer on the
-// updated tensors (pinned by tests/incremental_test.cpp). Like the sharded
-// engine it computes fp32 even for an int8 model
-// (GcnModel::count_fp32_fallback).
+// updated tensors (pinned by tests/incremental_test.cpp).
 
 #include <cstddef>
 #include <cstdint>

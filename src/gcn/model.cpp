@@ -1,11 +1,8 @@
 #include "gcn/model.h"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "common/error.h"
-#include "common/stats.h"
 #include "common/trace.h"
 
 namespace gcnt {
@@ -34,113 +31,36 @@ GcnModel::GcnModel(const GcnConfig& config)
   fc_.emplace_back(in_dim, config_.num_classes, rng);
 }
 
-void GcnModel::set_precision(Precision precision) {
-  if (precision == Precision::kInt8) {
-    // (Re-)calibrate from the current fp32 weights. Training does not
-    // refresh the snapshots automatically — call again after a training
-    // run to re-calibrate.
-    qencoders_.clear();
-    qfc_.clear();
-    qencoders_.reserve(encoders_.size());
-    qfc_.reserve(fc_.size());
-    for (const Linear& layer : encoders_) {
-      qencoders_.push_back(quantize_linear(layer));
-    }
-    for (const Linear& layer : fc_) qfc_.push_back(quantize_linear(layer));
-  }
-  precision_ = precision;
-  static Gauge& gauge = StatsRegistry::instance().gauge("model.precision");
-  gauge.set(static_cast<std::int64_t>(precision_));
-}
-
-void GcnModel::install_quantized(std::vector<QuantizedLinear> encoders,
-                                 std::vector<QuantizedLinear> fc) {
-  if (encoders.size() != encoders_.size() || fc.size() != fc_.size()) {
-    throw Error(ErrorKind::kCorrupt,
-                "install_quantized: layer count mismatch");
-  }
-  for (std::size_t d = 0; d < encoders.size(); ++d) {
-    if (encoders[d].in != encoders_[d].in_features() ||
-        encoders[d].out != encoders_[d].out_features()) {
-      throw Error(ErrorKind::kCorrupt,
-                  "install_quantized: encoder " + std::to_string(d) +
-                      " shape mismatch");
-    }
-  }
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    if (fc[i].in != fc_[i].in_features() || fc[i].out != fc_[i].out_features()) {
-      throw Error(ErrorKind::kCorrupt, "install_quantized: fc layer " +
-                                           std::to_string(i) +
-                                           " shape mismatch");
-    }
-  }
-  qencoders_ = std::move(encoders);
-  qfc_ = std::move(fc);
-  precision_ = Precision::kInt8;
-  static Gauge& gauge = StatsRegistry::instance().gauge("model.precision");
-  gauge.set(static_cast<std::int64_t>(precision_));
-}
-
 void GcnModel::layer_step(std::size_t d, const CsrMatrix& pred,
                           const CsrMatrix& succ, const Matrix& x,
                           const std::vector<std::uint32_t>* rows,
-                          Precision precision, ForwardWorkspace& ws,
-                          Matrix& out) const {
-  const bool int8 = precision == Precision::kInt8;
+                          ForwardWorkspace& ws, Matrix& out) const {
   // Aggregation (Eq. 1): G = X + w_pr * P*X + w_su * S*X.
   if (rows != nullptr) {
-    if (int8) {
-      throw std::invalid_argument("layer_step: row subsets are fp32 only");
-    }
     pred.spmm_rows(*rows, x, ws.pred_sum);
     succ.spmm_rows(*rows, x, ws.succ_sum);
     gather_rows(x, *rows, ws.aggregated);
-  } else if (int8) {
-    // Activations stay fp32; qact encodes X for the two SpMMs and the
-    // identity term reuses the exact fp32 X, which keeps the quantization
-    // error per layer to one activation round-trip.
-    quantize_tensor(x, ws.qact);
-    spmm_q8(pred, ws.qact, ws.pred_sum);
-    spmm_q8(succ, ws.qact, ws.succ_sum);
-    ws.aggregated.copy_from(x);
   } else {
     pred.spmm(x, ws.pred_sum);
     succ.spmm(x, ws.succ_sum);
     ws.aggregated.copy_from(x);
   }
+  ws.aggregated.axpy(w_pr(), ws.pred_sum);
+  ws.aggregated.axpy(w_su(), ws.succ_sum);
 
   // Encoding: E = ReLU(G * W + b), fused into one output pass.
-  if (int8) {
-    // axpy_exact, not Matrix::axpy: the SimdOps axpy contracts to FMA
-    // only on the vector targets, which would break the int8 tier's
-    // cross-target bit-identity (quant.h file comment).
-    axpy_exact(ws.aggregated, w_pr(), ws.pred_sum);
-    axpy_exact(ws.aggregated, w_su(), ws.succ_sum);
-    quantize_tensor(ws.aggregated, ws.qagg);
-    quantized_linear_forward(ws.qagg, qencoders_.at(d), encoders_[d].bias.value,
-                             out, /*relu=*/true);
-  } else {
-    ws.aggregated.axpy(w_pr(), ws.pred_sum);
-    ws.aggregated.axpy(w_su(), ws.succ_sum);
-    encoders_[d].forward_relu(ws.aggregated, out);
-  }
+  encoders_[d].forward_relu(ws.aggregated, out);
 }
 
-Matrix& GcnModel::fc_head(Matrix& x, Matrix& y, Precision precision,
-                          ForwardWorkspace& ws,
+Matrix& GcnModel::fc_head(Matrix& x, Matrix& y,
                           std::vector<Matrix>* inputs) const {
   if (inputs != nullptr) inputs->resize(fc_.size());
   Matrix* in = &x;
   Matrix* out = &y;
   for (std::size_t i = 0; i < fc_.size(); ++i) {
-    // Fused ReLU between hidden layers; the final layer emits raw logits.
-    const bool relu = i + 1 < fc_.size();
     if (inputs != nullptr) (*inputs)[i].copy_from(*in);
-    if (precision == Precision::kInt8) {
-      quantize_tensor(*in, ws.qact);
-      quantized_linear_forward(ws.qact, qfc_.at(i), fc_[i].bias.value, *out,
-                               relu);
-    } else if (relu) {
+    // Fused ReLU between hidden layers; the final layer emits raw logits.
+    if (i + 1 < fc_.size()) {
       fc_[i].forward_relu(*in, *out);
     } else {
       fc_[i].forward(*in, *out);
@@ -150,19 +70,10 @@ Matrix& GcnModel::fc_head(Matrix& x, Matrix& y, Precision precision,
   return *in;
 }
 
-void GcnModel::count_fp32_fallback() const {
-  if (precision_ != Precision::kInt8) return;
-  static Counter& fallbacks =
-      StatsRegistry::instance().counter("quant.fallback");
-  fallbacks.add();
-}
-
-void GcnModel::run_forward(const GraphTensors& graph, Precision precision,
+void GcnModel::run_forward(const GraphTensors& graph,
                            std::vector<Matrix>* embeddings, Cache* cache,
                            ForwardWorkspace& ws, Matrix& out) const {
-  TraceSpan span(cache != nullptr ? "gcn.forward"
-                 : precision == Precision::kInt8 ? "gcn.infer_int8"
-                                                 : "gcn.infer");
+  TraceSpan span(cache != nullptr ? "gcn.forward" : "gcn.infer");
   span.arg("nodes", static_cast<double>(graph.node_count()));
   if (cache != nullptr) {
     embeddings = &cache->embeddings;
@@ -183,7 +94,7 @@ void GcnModel::run_forward(const GraphTensors& graph, Precision precision,
     (*embeddings)[0].copy_from(*emb);
   }
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    layer_step(d, graph.pred, graph.succ, *emb, nullptr, precision, ws, *alt);
+    layer_step(d, graph.pred, graph.succ, *emb, nullptr, ws, *alt);
     if (embeddings != nullptr) (*embeddings)[d + 1].copy_from(*alt);
     if (cache != nullptr) {
       cache->pred_sums[d].copy_from(ws.pred_sum);
@@ -192,34 +103,32 @@ void GcnModel::run_forward(const GraphTensors& graph, Precision precision,
     }
     std::swap(emb, alt);
   }
-  const Matrix& logits = fc_head(*emb, *alt, precision, ws,
-                                 cache != nullptr ? &cache->fc_inputs : nullptr);
+  const Matrix& logits =
+      fc_head(*emb, *alt, cache != nullptr ? &cache->fc_inputs : nullptr);
   scatter_compute_rows(graph, logits, out);
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {
   Matrix out;
-  // The int8 tier serves inference only; the training forward (which
-  // must cache fp32 activations for backward) always runs fp32.
-  run_forward(graph, Precision::kFp32, nullptr, &cache_, ws_, out);
+  run_forward(graph, nullptr, &cache_, ws_, out);
   return out;
 }
 
 Matrix GcnModel::infer(const GraphTensors& graph) const {
   Matrix out;
-  run_forward(graph, precision_, nullptr, nullptr, ws_, out);
+  run_forward(graph, nullptr, nullptr, ws_, out);
   return out;
 }
 
 void GcnModel::infer(const GraphTensors& graph, ForwardWorkspace& ws,
                      Matrix& out) const {
-  run_forward(graph, precision_, nullptr, nullptr, ws, out);
+  run_forward(graph, nullptr, nullptr, ws, out);
 }
 
 void GcnModel::infer_embeddings(const GraphTensors& graph,
                                 ForwardWorkspace& ws, Matrix& out,
                                 std::vector<Matrix>& embeddings) const {
-  run_forward(graph, Precision::kFp32, &embeddings, nullptr, ws, out);
+  run_forward(graph, &embeddings, nullptr, ws, out);
 }
 
 void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "gcn/graph_tensors.h"
-#include "gcn/quant.h"
 #include "gcn/workspace.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -73,26 +72,22 @@ class GcnModel {
   void infer(const GraphTensors& graph, ForwardWorkspace& ws,
              Matrix& out) const;
 
-  /// Fp32 whole-graph inference that also keeps E_0..E_D (compute row
-  /// order) in `embeddings`: the incremental engine's refresh. Runs fp32
-  /// whatever precision() says (see count_fp32_fallback).
+  /// Whole-graph inference that also keeps E_0..E_D (compute row order)
+  /// in `embeddings`: the incremental engine's refresh.
   void infer_embeddings(const GraphTensors& graph, ForwardWorkspace& ws,
                         Matrix& out, std::vector<Matrix>& embeddings) const;
 
   /// One Eq. 1 layer step through encoder `d`:
   ///   out = ReLU((X[rows] + w_pr*P[rows]*X + w_su*S[rows]*X) * W_d + b_d)
   /// `rows == nullptr` computes every row with the whole-graph kernels
-  /// (spmm, copy_from), or their int8 counterparts for Precision::kInt8.
-  /// A row list computes only those rows of P and S (spmm_rows and a row
-  /// gather) into a compact rows->size() x K_d block whose row i is
-  /// bitwise equal to row (*rows)[i] of the all-rows step. Row lists are
-  /// fp32 only: no row-subset int8 SpMM exists. P*X, S*X and the
-  /// aggregate G are left in ws.pred_sum, ws.succ_sum and ws.aggregated.
-  /// `out` must not alias `x`.
+  /// (spmm, copy_from). A row list computes only those rows of P and S
+  /// (spmm_rows and a row gather) into a compact rows->size() x K_d block
+  /// whose row i is bitwise equal to row (*rows)[i] of the all-rows step.
+  /// P*X, S*X and the aggregate G are left in ws.pred_sum, ws.succ_sum
+  /// and ws.aggregated. `out` must not alias `x`.
   void layer_step(std::size_t d, const CsrMatrix& pred, const CsrMatrix& succ,
                   const Matrix& x, const std::vector<std::uint32_t>* rows,
-                  Precision precision, ForwardWorkspace& ws,
-                  Matrix& out) const;
+                  ForwardWorkspace& ws, Matrix& out) const;
 
   /// FC head (Eq. 3) over the compact E_D block in `x`: the hidden layers
   /// (fused ReLU) ping-pong through `x` and `y`, so both are clobbered.
@@ -100,15 +95,8 @@ class GcnModel {
   /// to row i of the input; callers scatter it. When `inputs` is non-null
   /// it receives each FC layer's input (training keeps them for
   /// backward).
-  Matrix& fc_head(Matrix& x, Matrix& y, Precision precision,
-                  ForwardWorkspace& ws,
+  Matrix& fc_head(Matrix& x, Matrix& y,
                   std::vector<Matrix>* inputs = nullptr) const;
-
-  /// The row-set engines (incremental, sharded) compute fp32 whatever
-  /// precision() says, because no row-subset int8 SpMM exists. They call
-  /// this once per refresh()/update(); it ticks the "quant.fallback"
-  /// counter when this model is int8, so the downgrade shows in stats.
-  void count_fp32_fallback() const;
 
   /// Positive-class probability per node.
   std::vector<float> predict_positive_probability(const GraphTensors& graph) const;
@@ -133,37 +121,12 @@ class GcnModel {
   const std::vector<Linear>& encoders() const noexcept { return encoders_; }
   const std::vector<Linear>& fc_layers() const noexcept { return fc_; }
 
-  /// Selects the inference precision tier (see gcn/quant.h). Selecting
-  /// kInt8 calibrates per-column symmetric int8 weight snapshots from the
-  /// current fp32 weights; call again after further training to
-  /// re-calibrate. Only the no-cache inference path switches — training
-  /// forward/backward always run fp32. kFp32 (the default) keeps every
-  /// existing output bitwise unchanged.
-  void set_precision(Precision precision);
-  Precision precision() const noexcept { return precision_; }
-
-  /// Quantized layer snapshots (empty until int8 is selected or a
-  /// quantized artifact section is loaded). Order matches encoders() /
-  /// fc_layers().
-  const std::vector<QuantizedLinear>& quantized_encoders() const noexcept {
-    return qencoders_;
-  }
-  const std::vector<QuantizedLinear>& quantized_fc() const noexcept {
-    return qfc_;
-  }
-
-  /// Installs pre-quantized layer snapshots (artifact load path) and
-  /// switches to kInt8 without re-calibrating. Throws Error{kCorrupt} on
-  /// a layer-count or shape mismatch with this model's configuration.
-  void install_quantized(std::vector<QuantizedLinear> encoders,
-                         std::vector<QuantizedLinear> fc);
-
  private:
   /// The whole-graph forward: gather, D all-rows layer steps, FC head,
   /// scatter of the logits into `out` (node order). Scratch lives in `ws`.
   /// Fills `embeddings` (E_0..E_D) and `cache` (training) when non-null.
   struct Cache;
-  void run_forward(const GraphTensors& graph, Precision precision,
+  void run_forward(const GraphTensors& graph,
                    std::vector<Matrix>* embeddings, Cache* cache,
                    ForwardWorkspace& ws, Matrix& out) const;
 
@@ -172,9 +135,6 @@ class GcnModel {
   Param w_su_;
   std::vector<Linear> encoders_;  ///< 4 -> K1 -> ... -> KD
   std::vector<Linear> fc_;        ///< KD -> fc_dims... -> num_classes
-  Precision precision_ = Precision::kFp32;
-  std::vector<QuantizedLinear> qencoders_;  ///< int8 snapshots of encoders_
-  std::vector<QuantizedLinear> qfc_;        ///< int8 snapshots of fc_
 
   struct Cache {
     std::vector<Matrix> embeddings;  ///< E_0 .. E_D (post-activation)

@@ -1,7 +1,6 @@
 #include "gcn/shard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -84,109 +83,7 @@ void ShardStore::get_export(int layer, std::size_t producer,
             out);
 }
 
-void ShardStore::set_block_precision(Precision precision) {
-  clear();
-  block_precision_ = precision;
-}
-
-void ShardStore::put_block_q8(const std::string& key, const Matrix& block) {
-  if (!on_disk()) {
-    quantize_tensor(block, qmemory_[key]);
-    return;
-  }
-  static Counter& writes =
-      StatsRegistry::instance().counter("shard.spill_writes");
-  static Counter& write_bytes =
-      StatsRegistry::instance().counter("shard.spill_write_bytes");
-  QuantizedTensor q;
-  quantize_tensor(block, q);
-  // shard-block-q8: u64 rows, u64 cols, then rows f32 scales, rows i32
-  // zero points, then rows*cols code bytes (native-endian; spill files
-  // are host-local). Per-row quantization adds 8 bytes/row — noise next
-  // to the 4x code-byte saving on any realistic embedding width.
-  const std::uint64_t rows = q.rows;
-  const std::uint64_t cols = q.cols;
-  const std::size_t meta = 16 + rows * 8;
-  std::string payload(meta + q.codes.size(), '\0');
-  std::memcpy(&payload[0], &rows, 8);
-  std::memcpy(&payload[8], &cols, 8);
-  if (rows > 0) {
-    std::memcpy(&payload[16], q.scales.data(), rows * 4);
-    std::memcpy(&payload[16 + rows * 4], q.zero_points.data(), rows * 4);
-  }
-  if (!q.codes.empty()) {
-    std::memcpy(&payload[meta], q.codes.data(), q.codes.size());
-  }
-  write_artifact_file(path_of(key), "shard-block-q8", payload);
-  writes.add();
-  write_bytes.add(payload.size());
-  written_.insert(key);
-}
-
-void ShardStore::get_block_q8(const std::string& key, Matrix& out) const {
-  if (!on_disk()) {
-    const auto it = qmemory_.find(key);
-    if (it == qmemory_.end()) {
-      throw Error(ErrorKind::kInternal,
-                  "ShardStore: missing in-memory block '" + key + "'");
-    }
-    dequantize_tensor(it->second, out);
-    return;
-  }
-  static Counter& reads =
-      StatsRegistry::instance().counter("shard.spill_reads");
-  static Counter& read_bytes =
-      StatsRegistry::instance().counter("shard.spill_read_bytes");
-  const std::string payload =
-      read_artifact_file(path_of(key), "shard-block-q8");
-  if (payload.size() < 16) {
-    throw Error(ErrorKind::kCorrupt,
-                "ShardStore: block '" + key + "' shorter than its header");
-  }
-  QuantizedTensor q;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::memcpy(&rows, payload.data(), 8);
-  std::memcpy(&cols, payload.data() + 8, 8);
-  const std::size_t meta = 16 + rows * 8;
-  if (payload.size() != meta + rows * cols) {
-    throw Error(ErrorKind::kCorrupt,
-                "ShardStore: block '" + key + "' header/shape mismatch");
-  }
-  q.rows = rows;
-  q.cols = cols;
-  q.scales.resize(rows);
-  q.zero_points.resize(rows);
-  if (rows > 0) {
-    std::memcpy(q.scales.data(), payload.data() + 16, rows * 4);
-    std::memcpy(q.zero_points.data(), payload.data() + 16 + rows * 4,
-                rows * 4);
-  }
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    if (!std::isfinite(q.scales[r]) || q.scales[r] <= 0.0f ||
-        q.zero_points[r] < 0 || q.zero_points[r] > 127) {
-      throw Error(ErrorKind::kCorrupt,
-                  "ShardStore: block '" + key + "' scale/zero-point invalid");
-    }
-  }
-  q.codes.assign(payload.begin() + static_cast<std::ptrdiff_t>(meta),
-                 payload.end());
-  for (const std::uint8_t code : q.codes) {
-    if (code > 127) {
-      throw Error(ErrorKind::kCorrupt,
-                  "ShardStore: block '" + key + "' code outside [0, 127]");
-    }
-  }
-  dequantize_tensor(q, out);
-  reads.add();
-  read_bytes.add(payload.size());
-}
-
 void ShardStore::put_block(const std::string& key, const Matrix& block) {
-  if (block_precision_ == Precision::kInt8) {
-    put_block_q8(key, block);
-    return;
-  }
   if (!on_disk()) {
     memory_[key].copy_from(block);
     return;
@@ -211,10 +108,6 @@ void ShardStore::put_block(const std::string& key, const Matrix& block) {
 }
 
 void ShardStore::get_block(const std::string& key, Matrix& out) const {
-  if (block_precision_ == Precision::kInt8) {
-    get_block_q8(key, out);
-    return;
-  }
   if (!on_disk()) {
     const auto it = memory_.find(key);
     if (it == memory_.end()) {
@@ -253,7 +146,6 @@ void ShardStore::get_block(const std::string& key, Matrix& out) const {
 
 void ShardStore::clear() {
   memory_.clear();
-  qmemory_.clear();
   for (const std::string& key : written_) {
     std::remove(path_of(key).c_str());
   }
@@ -273,7 +165,6 @@ ShardedGcnEngine::ShardedGcnEngine(const GcnModel& model,
     throw Error(ErrorKind::kUsage, "ShardedGcnEngine: halo must be >= 1");
   }
   store_.configure(options_.spill_dir);
-  store_.set_block_precision(options_.block_precision);
 }
 
 const GraphPartition& ShardedGcnEngine::partition() const {
@@ -482,7 +373,6 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       StatsRegistry::instance().counter("shard.forwards");
   static Counter& rounds = StatsRegistry::instance().counter("shard.rounds");
   forwards.add();
-  model_->count_fp32_fallback();
 
   if (!has_partition_ || partition_.row_count() != n ||
       cached_pred_nnz_ != tensors.pred.nnz() ||
@@ -510,8 +400,8 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       for (std::size_t j = 1; j <= m; ++j) {
         const std::size_t d = done + j - 1;
         const auto& rows = ls.rows_within[m - j];
-        model_->layer_step(d, ls.pred, ls.succ, *x, &rows, Precision::kFp32,
-                           ws_, compact_out_);
+        model_->layer_step(d, ls.pred, ls.succ, *x, &rows, ws_,
+                           compact_out_);
         // Persist this layer's owner rows (and their halo exports) so the
         // incremental path can later re-propagate any layer.
         gather_rows(compact_out_, ls.owner_pos_in[m - j], owner_block_);
@@ -529,9 +419,7 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       }
       if (done + m == layer_count) {
         // owner_block_ holds the owners' E_D; the head clobbers it.
-        scatter_to_nodes(tensors,
-                         model_->fc_head(owner_block_, compact_out_,
-                                         Precision::kFp32, ws_),
+        scatter_to_nodes(tensors, model_->fc_head(owner_block_, compact_out_),
                          partition_.shard(k).owners, logits_);
       }
     }
@@ -572,7 +460,6 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   static Counter& extends =
       StatsRegistry::instance().counter("shard.partition_extends");
   updates.add();
-  model_->count_fp32_fallback();
   last_was_full_ = false;
   last_dirty_rows_ = dirty.size();
 
@@ -642,7 +529,7 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
       gather_active(tensors, k, static_cast<int>(d - 1), active_a_);
       const LocalShard& ls = locals_[k];
       model_->layer_step(d - 1, ls.pred, ls.succ, active_a_, &dirty_local[k],
-                         Precision::kFp32, ws_, compact_out_);
+                         ws_, compact_out_);
       store_.get(static_cast<int>(d), k, owner_block_);
       grow_rows(owner_block_, partition_.shard(k).owners.size());
       scatter_rows(compact_out_, dirty_owner_pos[k], owner_block_);
@@ -674,9 +561,7 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   for (const std::size_t k : dirty_shards) {
     store_.get(static_cast<int>(layer_count), k, owner_block_);
     gather_rows(owner_block_, dirty_owner_pos[k], compact_out_);
-    scatter_to_nodes(tensors,
-                     model_->fc_head(compact_out_, owner_block_,
-                                     Precision::kFp32, ws_),
+    scatter_to_nodes(tensors, model_->fc_head(compact_out_, owner_block_),
                      dirty_global[k], logits_);
   }
   return logits_;

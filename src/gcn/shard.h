@@ -12,8 +12,7 @@
 //
 // The engine only plans row sets and owns the stores; each layer is one
 // GcnModel::layer_step over a shard's row set and the head is
-// GcnModel::fc_head, the same core every engine runs (fp32 even for an
-// int8 model, see GcnModel::count_fp32_fallback).
+// GcnModel::fc_head, the same core every engine runs.
 //
 // Bitwise identity with the monolithic path is a hard invariant, pinned
 // by tests/shard_test.cpp: the shard-local CSR forms are carved out of
@@ -40,7 +39,6 @@
 
 #include "gcn/graph_tensors.h"
 #include "gcn/model.h"
-#include "gcn/quant.h"
 #include "gcn/workspace.h"
 #include "graph/partition.h"
 
@@ -62,15 +60,6 @@ class ShardStore {
   /// Switches to disk mode rooted at `dir` (created if missing); an empty
   /// dir reverts to memory mode. Call before any put().
   void configure(std::string dir);
-
-  /// Block storage precision. kFp32 (default) stores blocks verbatim.
-  /// kInt8 stores each block as 7-bit activation codes + scale/zero-point
-  /// ("shard-block-q8" artifacts on disk) — 4x less spill traffic and
-  /// resident halo state, at the cost of one quantization round-trip per
-  /// block, so sharded results are no longer bit-identical to the
-  /// monolithic engines. Clears existing blocks; call before any put().
-  void set_block_precision(Precision precision);
-  Precision block_precision() const noexcept { return block_precision_; }
 
   bool on_disk() const noexcept { return !dir_.empty(); }
   const std::string& dir() const noexcept { return dir_; }
@@ -96,22 +85,16 @@ class ShardStore {
 
   /// Blocks currently stored (memory entries or files written).
   std::size_t block_count() const noexcept {
-    if (on_disk()) return written_.size();
-    return block_precision_ == Precision::kInt8 ? qmemory_.size()
-                                                : memory_.size();
+    return on_disk() ? written_.size() : memory_.size();
   }
 
  private:
   void put_block(const std::string& key, const Matrix& block);
   void get_block(const std::string& key, Matrix& out) const;
-  void put_block_q8(const std::string& key, const Matrix& block);
-  void get_block_q8(const std::string& key, Matrix& out) const;
   std::string path_of(const std::string& key) const;
 
   std::string dir_;
-  Precision block_precision_ = Precision::kFp32;
   std::map<std::string, Matrix> memory_;
-  std::map<std::string, QuantizedTensor> qmemory_;  ///< int8 mode blocks
   std::set<std::string> written_;  ///< disk keys, for clear()
 };
 
@@ -125,11 +108,6 @@ struct ShardedGcnOptions {
   /// Non-empty: spill off-shard blocks to artifact files under this
   /// directory instead of keeping them in memory (true out-of-core mode).
   std::string spill_dir;
-  /// Storage precision for off-shard embedding blocks (see
-  /// ShardStore::set_block_precision). kInt8 quarters spill bytes but
-  /// gives up bit-identity with the monolithic engines; the default
-  /// keeps the exact contract.
-  Precision block_precision = Precision::kFp32;
   /// Same semantics as IncrementalGcnOptions: dirty fractions beyond this
   /// make update() run a full sharded refresh instead.
   double full_fallback_fraction = 0.25;

@@ -217,8 +217,8 @@ void resize_for(const Netlist& netlist, ScoapMeasures& measures) {
   measures.co.resize(netlist.size(), 0);
 }
 
-void update_observability_after_observe(const Netlist& netlist, NodeId target,
-                                        ScoapMeasures& measures) {
+std::vector<NodeId> update_observability_after_observe(
+    const Netlist& netlist, NodeId target, ScoapMeasures& measures) {
   resize_for(netlist, measures);
   // Only the fan-in cone of `target` (inclusive) can improve, and fanouts
   // outside it keep their CO, so the cone only needs an order of its own
@@ -259,6 +259,9 @@ void update_observability_after_observe(const Netlist& netlist, NodeId target,
       measures.co[*it] = observe_from_fanouts(netlist, *it, measures);
     }
   }
+  // The root finishes last; what remains is fanin_cone(target)'s set.
+  post_order.pop_back();
+  return post_order;
 }
 
 }  // namespace gcnt

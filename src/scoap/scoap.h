@@ -50,9 +50,12 @@ void compute_observability(const Netlist& netlist, ScoapMeasures& measures);
 /// cone, not the netlist, and the result equals a full
 /// compute_observability. Calls resize_for itself. Throws
 /// std::runtime_error on a combinational cycle inside the cone.
-void update_observability_after_observe(const Netlist& netlist,
-                                        NodeId target,
-                                        ScoapMeasures& measures);
+///
+/// Returns the walked cone without `target`: the same node set as
+/// netlist.fanin_cone(target), in DFS post-order (fanins first), ready to
+/// pass to append_observe_point as its refreshed rows.
+std::vector<NodeId> update_observability_after_observe(
+    const Netlist& netlist, NodeId target, ScoapMeasures& measures);
 
 /// Extends the measure vectors for nodes appended since the last compute
 /// (new OBSERVE nodes); new entries get neutral values.

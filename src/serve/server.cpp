@@ -199,8 +199,7 @@ void ServeServer::start() {
   // write(), not kill the daemon with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
 
-  models_ =
-      std::make_unique<ModelRegistry>(options_.model_path, options_.precision);
+  models_ = std::make_unique<ModelRegistry>(options_.model_path);
   slow_ring_ = std::make_unique<SlowRequestRing>(options_.slow_ring);
   if (!options_.access_log.empty()) {
     access_log_ = std::make_unique<AccessLog>(options_.access_log);

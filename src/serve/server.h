@@ -70,9 +70,6 @@ enum class WatchdogAction {
 
 struct ServeOptions {
   std::string model_path;  ///< required: initial model artifact
-  /// Inference precision applied at model load and every hot reload
-  /// (resolve --precision / GCNT_PRECISION via resolve_precision()).
-  Precision precision = Precision::kFp32;
 
   // Exactly one transport:
   std::string unix_socket;  ///< bind a Unix domain socket at this path

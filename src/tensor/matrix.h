@@ -57,8 +57,8 @@ class Matrix {
   /// Reshapes without touching existing contents: when the new element
   /// count fits the current size, no element is written at all (unlike
   /// resize(), which refills everything). Callers must overwrite every
-  /// element before reading it — gemm and spmm_q8 use this to skip the
-  /// full prefill pass and write each output tile while it is cache-hot.
+  /// element before reading it — gemm uses this to skip the full prefill
+  /// pass and write each output tile while it is cache-hot.
   void resize_for_overwrite(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;

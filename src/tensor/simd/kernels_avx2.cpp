@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "tensor/simd/gemm_chain.h"
 
@@ -489,148 +488,14 @@ void avx2_scale(float* y, float a, std::size_t n) {
   for (; i < n; ++i) y[i] *= a;
 }
 
-// ---- int8 quantized tier -------------------------------------------
-// The classic maddubs/madd dot: u8 x s8 pairs widen to s16 (no
-// saturation possible — codes are 7-bit by contract, so |pair sum| <=
-// 2 * 127 * 127 < 2^15), then madd against ones widens to s32. All
-// integer, hence exact and bitwise identical to the scalar reference.
-
-std::int32_t avx2_dot_u8s8(const std::uint8_t* a, const std::int8_t* b,
-                           std::size_t n) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i pairs = _mm256_maddubs_epi16(va, vb);
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
-  }
-  const __m128i low = _mm256_castsi256_si128(acc);
-  const __m128i high = _mm256_extracti128_si256(acc, 1);
-  __m128i sum = _mm_add_epi32(low, high);
-  sum = _mm_add_epi32(sum, _mm_unpackhi_epi64(sum, sum));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, 0x55));
-  std::int32_t result = _mm_cvtsi128_si32(sum);
-  for (; i < n; ++i) {
-    result += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return result;
-}
-
-void avx2_axpy_dq8(float* y, const std::uint8_t* codes, float a,
-                   std::int32_t zp, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  const __m256i vzp = _mm256_set1_epi32(zp);
-  std::size_t i = 0;
-  // 4x unroll (see the avx512 variant): independent code loads keep the
-  // byte widening pipelined; per-lane math is unchanged, so results are
-  // bitwise identical to the 8-wide and scalar loops.
-  for (; i + 32 <= n; i += 32) {
-    const __m128i b0 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    const __m128i b1 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i + 8));
-    const __m128i b2 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i + 16));
-    const __m128i b3 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i + 24));
-    const __m256 x0 = _mm256_cvtepi32_ps(
-        _mm256_sub_epi32(_mm256_cvtepu8_epi32(b0), vzp));
-    const __m256 x1 = _mm256_cvtepi32_ps(
-        _mm256_sub_epi32(_mm256_cvtepu8_epi32(b1), vzp));
-    const __m256 x2 = _mm256_cvtepi32_ps(
-        _mm256_sub_epi32(_mm256_cvtepu8_epi32(b2), vzp));
-    const __m256 x3 = _mm256_cvtepi32_ps(
-        _mm256_sub_epi32(_mm256_cvtepu8_epi32(b3), vzp));
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, x0, _mm256_loadu_ps(y + i)));
-    _mm256_storeu_ps(y + i + 8,
-                     _mm256_fmadd_ps(va, x1, _mm256_loadu_ps(y + i + 8)));
-    _mm256_storeu_ps(y + i + 16,
-                     _mm256_fmadd_ps(va, x2, _mm256_loadu_ps(y + i + 16)));
-    _mm256_storeu_ps(y + i + 24,
-                     _mm256_fmadd_ps(va, x3, _mm256_loadu_ps(y + i + 24)));
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    const __m256 x = _mm256_cvtepi32_ps(
-        _mm256_sub_epi32(_mm256_cvtepu8_epi32(bytes), vzp));
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, x, _mm256_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) {
-    y[i] = std::fmaf(
-        a, static_cast<float>(static_cast<std::int32_t>(codes[i]) - zp), y[i]);
-  }
-}
-
-void avx2_quantize_u8(std::uint8_t* codes, const float* x, float inv_scale,
-                      std::int32_t zp, std::size_t n) {
-  const __m256 vs = _mm256_set1_ps(inv_scale);
-  const __m256 lo = _mm256_set1_ps(-256.0f);
-  const __m256 hi = _mm256_set1_ps(256.0f);
-  const __m256i vzp = _mm256_set1_epi32(zp);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i v127 = _mm256_set1_epi32(127);
-  // Per-128-bit-lane shuffle collecting byte 0 of each dword.
-  const __m256i pick = _mm256_setr_epi8(
-      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
-      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // max_ps(v, lo) returns lo when v is NaN, matching the scalar
-    // reference's ordered comparisons.
-    __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x + i), vs);
-    v = _mm256_max_ps(v, lo);
-    v = _mm256_min_ps(v, hi);
-    __m256i q = _mm256_add_epi32(_mm256_cvtps_epi32(v), vzp);
-    q = _mm256_min_epi32(_mm256_max_epi32(q, zero), v127);
-    const __m256i bytes = _mm256_shuffle_epi8(q, pick);
-    const std::uint32_t low =
-        static_cast<std::uint32_t>(_mm256_extract_epi32(bytes, 0));
-    const std::uint32_t high =
-        static_cast<std::uint32_t>(_mm256_extract_epi32(bytes, 4));
-    std::memcpy(codes + i, &low, 4);
-    std::memcpy(codes + i + 4, &high, 4);
-  }
-  for (; i < n; ++i) {
-    float v = x[i] * inv_scale;
-    v = v > -256.0f ? v : -256.0f;
-    v = v < 256.0f ? v : 256.0f;
-    const std::int32_t q = _mm_cvtss_si32(_mm_set_ss(v)) + zp;
-    const std::int32_t clamped = q < 0 ? 0 : (q > 127 ? 127 : q);
-    codes[i] = static_cast<std::uint8_t>(clamped);
-  }
-}
-
-void avx2_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
-                        std::int32_t zp, std::size_t n) {
-  const __m256 vs = _mm256_set1_ps(scale);
-  const __m256i vzp = _mm256_set1_epi32(zp);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    const __m256 x = _mm256_cvtepi32_ps(
-        _mm256_sub_epi32(_mm256_cvtepu8_epi32(bytes), vzp));
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(x, vs));
-  }
-  for (; i < n; ++i) {
-    y[i] = static_cast<float>(static_cast<std::int32_t>(codes[i]) - zp) * scale;
-  }
-}
-
 }  // namespace
 
 namespace simd_detail {
 
 const SimdOps kAvx2Ops = {
-    "avx2",          avx2_axpy,     avx2_gemm,
-    avx2_bias_add,   avx2_bias_relu, avx2_relu,
-    avx2_scale,      avx2_dot_u8s8, avx2_axpy_dq8,
-    avx2_quantize_u8, avx2_dequantize_u8,
+    "avx2",        avx2_axpy,      avx2_gemm,
+    avx2_bias_add, avx2_bias_relu, avx2_relu,
+    avx2_scale,
 };
 
 }  // namespace simd_detail
@@ -641,7 +506,7 @@ const SimdOps kAvx2Ops = {
 namespace gcnt::simd_detail {
 
 const SimdOps kAvx2Ops = {nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                          nullptr, nullptr, nullptr, nullptr, nullptr};
+                          nullptr};
 
 }  // namespace gcnt::simd_detail
 

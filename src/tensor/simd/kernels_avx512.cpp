@@ -16,8 +16,7 @@
 // per-element fmadd/add/max/mul, and the GEMM tile the same one FMA
 // chain per output element — so auto-resolution upgrading a host from
 // avx2 to avx512 never changes results. Versus scalar, the same
-// FMA-contraction tolerance as AVX2 applies. The int8 ops are bitwise
-// identical to the scalar reference on every input, like all targets.
+// FMA-contraction tolerance as AVX2 applies.
 
 #include "tensor/simd/simd.h"
 
@@ -510,144 +509,14 @@ void avx512_scale(float* y, float a, std::size_t n) {
   }
 }
 
-// ---- int8 quantized tier -------------------------------------------
-
-std::int32_t avx512_dot_u8s8(const std::uint8_t* a, const std::int8_t* b,
-                             std::size_t n) {
-  const __m512i ones = _mm512_set1_epi16(1);
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i va =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(a + i));
-    const __m512i vb =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(b + i));
-    const __m512i pairs = _mm512_maddubs_epi16(va, vb);
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(pairs, ones));
-  }
-  if (i < n) {
-    // Zero-filled masked byte loads: dead lanes multiply to 0.
-    const __mmask64 m = (n - i == 64) ? ~__mmask64{0}
-                                      : ((__mmask64{1} << (n - i)) - 1);
-    const __m512i va = _mm512_maskz_loadu_epi8(m, a + i);
-    const __m512i vb = _mm512_maskz_loadu_epi8(m, b + i);
-    const __m512i pairs = _mm512_maddubs_epi16(va, vb);
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(pairs, ones));
-  }
-  return _mm512_reduce_add_epi32(acc);
-}
-
-void avx512_axpy_dq8(float* y, const std::uint8_t* codes, float a,
-                     std::int32_t zp, std::size_t n) {
-  const __m512 va = _mm512_set1_ps(a);
-  const __m512i vzp = _mm512_set1_epi32(zp);
-  std::size_t i = 0;
-  // 4x unroll: four independent 128-bit code loads per pass keep the
-  // byte->dword widening (a shuffle-port op) pipelined instead of
-  // serializing behind one load per iteration. Each lane still computes
-  // fma(a, (code - zp), y) exactly like the 16-wide and scalar loops,
-  // so results stay bitwise identical at every length.
-  for (; i + 64 <= n; i += 64) {
-    const __m128i b0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    const __m128i b1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 16));
-    const __m128i b2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 32));
-    const __m128i b3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i + 48));
-    const __m512 x0 = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(b0), vzp));
-    const __m512 x1 = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(b1), vzp));
-    const __m512 x2 = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(b2), vzp));
-    const __m512 x3 = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(b3), vzp));
-    _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, x0, _mm512_loadu_ps(y + i)));
-    _mm512_storeu_ps(y + i + 16,
-                     _mm512_fmadd_ps(va, x1, _mm512_loadu_ps(y + i + 16)));
-    _mm512_storeu_ps(y + i + 32,
-                     _mm512_fmadd_ps(va, x2, _mm512_loadu_ps(y + i + 32)));
-    _mm512_storeu_ps(y + i + 48,
-                     _mm512_fmadd_ps(va, x3, _mm512_loadu_ps(y + i + 48)));
-  }
-  for (; i + 16 <= n; i += 16) {
-    const __m128i bytes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    const __m512 x = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(bytes), vzp));
-    _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, x, _mm512_loadu_ps(y + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    const __m128i bytes = _mm_maskz_loadu_epi8(m, codes + i);
-    const __m512 x = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(bytes), vzp));
-    const __m512 y0 = _mm512_maskz_loadu_ps(m, y + i);
-    _mm512_mask_storeu_ps(y + i, m, _mm512_fmadd_ps(va, x, y0));
-  }
-}
-
-void avx512_quantize_u8(std::uint8_t* codes, const float* x, float inv_scale,
-                        std::int32_t zp, std::size_t n) {
-  const __m512 vs = _mm512_set1_ps(inv_scale);
-  const __m512 lo = _mm512_set1_ps(-256.0f);
-  const __m512 hi = _mm512_set1_ps(256.0f);
-  const __m512i vzp = _mm512_set1_epi32(zp);
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i v127 = _mm512_set1_epi32(127);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512 v = _mm512_mul_ps(_mm512_loadu_ps(x + i), vs);
-    v = _mm512_max_ps(v, lo);
-    v = _mm512_min_ps(v, hi);
-    __m512i q = _mm512_add_epi32(_mm512_cvtps_epi32(v), vzp);
-    q = _mm512_min_epi32(_mm512_max_epi32(q, zero), v127);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + i),
-                     _mm512_cvtepi32_epi8(q));
-  }
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    __m512 v = _mm512_mul_ps(_mm512_maskz_loadu_ps(m, x + i), vs);
-    v = _mm512_max_ps(v, lo);
-    v = _mm512_min_ps(v, hi);
-    __m512i q = _mm512_add_epi32(_mm512_cvtps_epi32(v), vzp);
-    q = _mm512_min_epi32(_mm512_max_epi32(q, zero), v127);
-    _mm_mask_storeu_epi8(codes + i, m, _mm512_cvtepi32_epi8(q));
-  }
-}
-
-void avx512_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
-                          std::int32_t zp, std::size_t n) {
-  const __m512 vs = _mm512_set1_ps(scale);
-  const __m512i vzp = _mm512_set1_epi32(zp);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i bytes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
-    const __m512 x = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(bytes), vzp));
-    _mm512_storeu_ps(y + i, _mm512_mul_ps(x, vs));
-  }
-  if (i < n) {
-    const __mmask16 m = tail_mask(n - i);
-    const __m128i bytes = _mm_maskz_loadu_epi8(m, codes + i);
-    const __m512 x = _mm512_cvtepi32_ps(
-        _mm512_sub_epi32(_mm512_cvtepu8_epi32(bytes), vzp));
-    _mm512_mask_storeu_ps(y + i, m, _mm512_mul_ps(x, vs));
-  }
-}
-
 }  // namespace
 
 namespace simd_detail {
 
 const SimdOps kAvx512Ops = {
-    "avx512",           avx512_axpy,     avx512_gemm,
-    avx512_bias_add,    avx512_bias_relu, avx512_relu,
-    avx512_scale,       avx512_dot_u8s8, avx512_axpy_dq8,
-    avx512_quantize_u8, avx512_dequantize_u8,
+    "avx512",        avx512_axpy,      avx512_gemm,
+    avx512_bias_add, avx512_bias_relu, avx512_relu,
+    avx512_scale,
 };
 
 }  // namespace simd_detail
@@ -658,7 +527,6 @@ const SimdOps kAvx512Ops = {
 namespace gcnt::simd_detail {
 
 const SimdOps kAvx512Ops = {nullptr, nullptr, nullptr, nullptr,
-                            nullptr, nullptr, nullptr, nullptr,
                             nullptr, nullptr, nullptr};
 
 }  // namespace gcnt::simd_detail

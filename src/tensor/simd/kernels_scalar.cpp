@@ -4,16 +4,8 @@
 // for the GEMM chain, strictly ascending-order) — this target reproduces
 // the historical scalar kernels bit-for-bit, which is what the
 // cross-target tolerance tests compare AVX2/AVX-512 against.
-//
-// The int8 ops are the semantic reference for the quantized tier: the
-// AVX2/AVX-512 implementations must match them bit-for-bit (integer
-// accumulation is exact, the float steps use std::fmaf / a single
-// multiply, and quantization rounds to nearest-even — the same one
-// rounding sequence the vector cvtps path performs).
 
 #include "tensor/simd/simd.h"
-
-#include <cmath>
 
 #include "tensor/simd/gemm_chain.h"
 
@@ -64,64 +56,14 @@ void scalar_scale(float* y, float a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= a;
 }
 
-std::int32_t scalar_dot_u8s8(const std::uint8_t* a, const std::int8_t* b,
-                             std::size_t n) {
-  std::int32_t acc = 0;
-  std::size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    for (std::size_t j = 0; j < kBlock; ++j) {
-      acc += static_cast<std::int32_t>(a[i + j]) *
-             static_cast<std::int32_t>(b[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return acc;
-}
-
-void scalar_axpy_dq8(float* y, const std::uint8_t* codes, float a,
-                     std::int32_t zp, std::size_t n) {
-  // fmaf, not a * x + y: the vector targets fuse this multiply-add, and
-  // the int8 tier's cross-target bitwise contract requires the scalar
-  // reference to perform the same single rounding.
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = std::fmaf(
-        a, static_cast<float>(static_cast<std::int32_t>(codes[i]) - zp), y[i]);
-  }
-}
-
-void scalar_quantize_u8(std::uint8_t* codes, const float* x, float inv_scale,
-                        std::int32_t zp, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    // Pre-clamp to [-256, 256] exactly like the vector paths, so huge or
-    // NaN inputs cannot hit int-conversion UB (NaN lands on the lower
-    // clamp and quantizes to code 0 after the final clamp).
-    float v = x[i] * inv_scale;
-    v = v > -256.0f ? v : -256.0f;
-    v = v < 256.0f ? v : 256.0f;
-    const std::int32_t q = static_cast<std::int32_t>(std::nearbyintf(v)) + zp;
-    const std::int32_t clamped = q < 0 ? 0 : (q > 127 ? 127 : q);
-    codes[i] = static_cast<std::uint8_t>(clamped);
-  }
-}
-
-void scalar_dequantize_u8(float* y, const std::uint8_t* codes, float scale,
-                          std::int32_t zp, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = static_cast<float>(static_cast<std::int32_t>(codes[i]) - zp) * scale;
-  }
-}
-
 }  // namespace
 
 namespace simd_detail {
 
 const SimdOps kScalarOps = {
-    "scalar",          scalar_axpy,     scalar_gemm,
-    scalar_bias_add,   scalar_bias_relu, scalar_relu,
-    scalar_scale,      scalar_dot_u8s8, scalar_axpy_dq8,
-    scalar_quantize_u8, scalar_dequantize_u8,
+    "scalar",        scalar_axpy,      scalar_gemm,
+    scalar_bias_add, scalar_bias_relu, scalar_relu,
+    scalar_scale,
 };
 
 }  // namespace simd_detail

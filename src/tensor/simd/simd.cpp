@@ -21,8 +21,8 @@ bool cpu_has_avx2_fma() {
 
 bool cpu_has_avx512() {
 #if defined(__x86_64__) || defined(_M_X64)
-  // F for the fp32 kernels, BW for the byte-granular int8 ops and masked
-  // byte loads/stores, VL for their 128/256-bit forms.
+  // The AVX-512 TU is compiled with -mavx512f -mavx512bw -mavx512vl, so
+  // the host needs all three.
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512vl");

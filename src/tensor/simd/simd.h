@@ -3,7 +3,7 @@
 //
 // Every inner loop the compute kernels spend their time in (the dense
 // GEMM tile, SpMM row accumulation, the bias/ReLU epilogues, the
-// vec_ops.h row helpers, and the int8 quantized tier) funnels through
+// and the vec_ops.h row helpers) funnels through
 // one table of function pointers — SimdOps — resolved once per process
 // by runtime CPU detection. Three implementations are built into every
 // binary:
@@ -37,11 +37,6 @@
 //   * ACROSS targets the fp32 results differ within a small tolerance:
 //     the AVX2/AVX-512 ops contract multiply-add pairs to FMA (one
 //     rounding instead of two). AVX2 and AVX-512 are bitwise identical.
-//   * The int8 ops (dot_u8s8, axpy_dq8, quantize_u8, dequantize_u8) are
-//     bitwise identical ACROSS targets as well: integer accumulation is
-//     exact on every path, the dequantizing float steps are per-element
-//     with a fixed operation sequence (fmaf / single multiply), and
-//     quantization rounds to nearest-even on every target.
 //
 // The active target is published to the stats registry as the
 // "simd.target" gauge (0 = scalar, 1 = avx2, 2 = avx512) and recorded by
@@ -115,39 +110,6 @@ struct SimdOps {
   /// y[i] *= a.
   void (*scale)(float* y, float a, std::size_t n);
 
-  // ---- int8 quantized tier (gcn/quant.h) ----------------------------
-  // Activation codes are 7-bit unsigned (0..127) with an explicit zero
-  // point; weights are signed 8-bit (-127..127). The 7-bit activation
-  // range is a hard precondition of dot_u8s8: it bounds every
-  // maddubs-style pair sum to |2 * 127 * 127| < 2^15, so the widening
-  // 16-bit step can never saturate and integer accumulation stays exact
-  // (and therefore bitwise identical) on every target.
-
-  /// Exact int32 dot product: sum of a[i] * b[i] with a unsigned 7-bit
-  /// and b signed 8-bit codes. Integer accumulation — associative, so
-  /// bitwise identical across targets, threads, and blocking.
-  std::int32_t (*dot_u8s8)(const std::uint8_t* a, const std::int8_t* b,
-                           std::size_t n);
-
-  /// Dequantizing axpy for int8 SpMM with fp32 accumulation:
-  /// y[i] = fmaf(a, float(int(codes[i]) - zp), y[i]). The integer
-  /// subtract and int->float conversion are exact and the single fused
-  /// multiply-add is used on every target (scalar uses std::fmaf), so
-  /// results are bitwise identical across targets.
-  void (*axpy_dq8)(float* y, const std::uint8_t* codes, float a,
-                   std::int32_t zp, std::size_t n);
-
-  /// codes[i] = clamp(rint(x[i] * inv_scale) + zp, 0, 127), rounding to
-  /// nearest-even (cvtps semantics on every target). Inputs are clamped
-  /// to [-256, 256] before conversion so overflow/NaN cannot produce
-  /// target-dependent codes (NaN quantizes to code 0).
-  void (*quantize_u8)(std::uint8_t* codes, const float* x, float inv_scale,
-                      std::int32_t zp, std::size_t n);
-
-  /// y[i] = float(int(codes[i]) - zp) * scale — one multiply per
-  /// element, bitwise identical across targets.
-  void (*dequantize_u8)(float* y, const std::uint8_t* codes, float scale,
-                        std::int32_t zp, std::size_t n);
 };
 
 /// The resolved microkernel table (override > GCNT_SIMD > CPU detect).

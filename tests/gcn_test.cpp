@@ -230,14 +230,14 @@ TEST(GcnModel, LayerStepMatchesHandComputedValues) {
 
   ForwardWorkspace ws;
   Matrix out;
-  model.layer_step(0, p, s, x, nullptr, Precision::kFp32, ws, out);
+  model.layer_step(0, p, s, x, nullptr, ws, out);
   EXPECT_EQ(ws.aggregated,
             matrix_of(3, 4, {1, 0.5f, 0, 0, 0.5f, 2, 0.25f, -0.25f,
                              0, 1, 1, -1}));
   EXPECT_EQ(out, matrix_of(3, 2, {1.5f, 0, 1.25f, 0.125f, 0, 1}));
 
   const std::vector<std::uint32_t> middle = {1};
-  model.layer_step(0, p, s, x, &middle, Precision::kFp32, ws, out);
+  model.layer_step(0, p, s, x, &middle, ws, out);
   EXPECT_EQ(ws.aggregated, matrix_of(1, 4, {0.5f, 2, 0.25f, -0.25f}));
   EXPECT_EQ(out, matrix_of(1, 2, {1.25f, 0.125f}));
 }
@@ -777,6 +777,26 @@ TEST(ForwardWorkspace, SteadyStateInferAllocatesNothing) {
     EXPECT_EQ(out.capacity(), logits_capacity) << "pass " << pass;
     EXPECT_EQ(out, reference) << "pass " << pass;
   }
+
+  // A larger graph through the same workspace: grow, shrink, grow again
+  // must reproduce a fresh workspace's logits bit for bit, and once the
+  // larger graph has been seen, passes over either graph allocate nothing.
+  config.seed = 0xDA;
+  config.target_gates = 2400;
+  const auto large = build_graph_tensors(generate_circuit(config));
+  ForwardWorkspace fresh;
+  Matrix expected_large;
+  model.infer(large, fresh, expected_large);
+  model.infer(large, ws, out);
+  EXPECT_EQ(expected_large, out) << "grow";
+  model.infer(tensors, ws, out);
+  EXPECT_EQ(reference, out) << "shrink";
+  model.infer(large, ws, out);
+  EXPECT_EQ(expected_large, out) << "grow again";
+  (void)ws.poll_allocations();
+  model.infer(large, ws, out);
+  model.infer(tensors, ws, out);
+  EXPECT_EQ(ws.poll_allocations(), 0u) << "steady state must not allocate";
 }
 
 TEST(GraphReorder, RcmInferenceBitwiseMatchesUnordered) {

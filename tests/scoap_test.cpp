@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "gen/generator.h"
 #include "netlist/bench_io.h"
@@ -18,6 +20,16 @@ NodeId by_name(const Netlist& n, const std::string& name) {
   }
   ADD_FAILURE() << "node not found: " << name;
   return kInvalidNode;
+}
+
+/// The cone update_observability_after_observe returns must be the node
+/// set of fanin_cone(target) (which excludes the target), in any order.
+void expect_fanin_cone_set(const Netlist& n, NodeId target,
+                           std::vector<NodeId> walked) {
+  std::vector<NodeId> cone = n.fanin_cone(target);
+  std::sort(cone.begin(), cone.end());
+  std::sort(walked.begin(), walked.end());
+  EXPECT_EQ(walked, cone) << "target " << n.node_name(target);
 }
 
 TEST(ScoapAdd, Saturates) {
@@ -157,7 +169,8 @@ TEST(Scoap, IncrementalUpdateMatchesFullRecompute) {
     if (!is_logic(n.type(v))) continue;
     const NodeId target = v;
     n.insert_observe_point(target);
-    update_observability_after_observe(n, target, incremental);
+    expect_fanin_cone_set(
+        n, target, update_observability_after_observe(n, target, incremental));
     ++inserted;
   }
   ASSERT_GT(inserted, 0u);
@@ -187,7 +200,7 @@ TEST(Scoap, IncrementalUpdateOrdersReconvergentCone) {
   EXPECT_EQ(m.co[a], kScoapInfinity);  // t drives nothing yet
 
   n.insert_observe_point(t);
-  update_observability_after_observe(n, t, m);
+  expect_fanin_cone_set(n, t, update_observability_after_observe(n, t, m));
   EXPECT_EQ(m.co[a], 7u);
   const auto full = compute_scoap(n);
   ASSERT_EQ(m.co.size(), full.co.size());
@@ -229,14 +242,20 @@ TEST(Scoap, IncrementalUpdateRejectsCycleInCone) {
 }
 
 TEST(Scoap, IncrementalUpdateFollowsLoopThroughFlop) {
-  // q = DFF(d), d = NOT(q): a sequential loop, not a cycle. An OP on the
-  // flop walks into its D logic and back to the flop, which is fine.
+  // q = DFF(d), d = NAND(q, a, r): a sequential loop, not a cycle. An OP
+  // on the flop walks into its D logic and back to the flop, which is
+  // fine; the flop r inside the cone is a source, so the walk stops there
+  // and b stays outside the cone.
   Netlist n = read_bench_string(
-      "INPUT(a)\nOUTPUT(o)\nq = DFF(d)\nd = NAND(q, a)\no = BUF(a)\n");
+      "INPUT(a)\nINPUT(b)\nOUTPUT(o)\nr = DFF(b)\nq = DFF(d)\n"
+      "d = NAND(q, a, r)\no = BUF(a)\n");
   auto m = compute_scoap(n);
   const NodeId q = by_name(n, "q");
   n.insert_observe_point(q);
-  update_observability_after_observe(n, q, m);
+  const std::vector<NodeId> walked =
+      update_observability_after_observe(n, q, m);
+  expect_fanin_cone_set(n, q, walked);
+  EXPECT_EQ(walked.size(), 3u);  // d, a, r
   EXPECT_EQ(m.co, compute_scoap(n).co);
 }
 

@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <sstream>
 
+#include "common/artifact.h"
 #include "common/error.h"
 #include "gcn/serialize.h"
 #include "gen/generator.h"
@@ -96,14 +99,54 @@ TEST(Serialize, MissingFileIsIoError) {
   }
 }
 
+// A model saved by a build that had the int8 tier: the v1 layout plus its
+// quantized-weights section (depth 1, K_1 = 2, no hidden FC layers).
+constexpr const char* kInt8V2Model =
+    "gcnt-model v2\ndepth 1\nembed_dims 2\nfc_dims\nnum_classes 2\n"
+    "aggregation 0 0 0.5 0.5\n"
+    "param 1 1\n0.5\nparam 1 1\n0.5\n"
+    "param 4 2\n0.1 -0.2 0.3 -0.4 0.5 -0.6 0.7 -0.8\nparam 1 2\n0 0\n"
+    "param 2 2\n0.25 -0.25 0.5 -0.5\nparam 1 2\n0 0\n"
+    "quant int8 2\n"
+    "qlayer 4 2\n0.0062992126 0.0062992126\n16 48 79 111 -32 -64 -95 -127\n"
+    "qlayer 2 2\n0.0039370079 0.0039370079\n64 127 -64 -127\n";
+
 TEST(Serialize, VersionMismatchIsVersionError) {
-  std::stringstream buffer("gcnt-model v9\ndepth 1\n");
-  try {
-    load_model(buffer);
-    FAIL() << "expected gcnt::Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kVersion);
+  const std::string enveloped = "serialize_test_v2_envelope.txt";
+  write_artifact_file(enveloped, "model", kInt8V2Model);
+  const std::function<GcnModel()> loads[] = {
+      [] {
+        std::stringstream buffer("gcnt-model v9\ndepth 1\n");
+        return load_model(buffer);
+      },
+      [] {
+        std::stringstream buffer(kInt8V2Model);
+        return load_model(buffer);
+      },
+      [&] { return load_model_file(enveloped); },
+  };
+  for (std::size_t i = 0; i < std::size(loads); ++i) {
+    try {
+      loads[i]();
+      FAIL() << "expected gcnt::Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kVersion) << e.what();
+      EXPECT_EQ(exit_code_for(e.kind()), 65);
+      // Only the v2 payloads are named as int8 models.
+      const bool names_int8 =
+          std::string(e.what()).find("int8 model") != std::string::npos;
+      EXPECT_EQ(names_int8, i > 0) << e.what();
+    }
   }
+  std::remove(enveloped.c_str());
+
+  // The v2 payload is rejected for its version, not for its shape:
+  // relabelled v1, it loads (a v1 reader stops before the quant section).
+  std::string v1 = kInt8V2Model;
+  v1[12] = '1';
+  std::stringstream buffer(v1);
+  EXPECT_EQ(load_model(buffer).config().embed_dims,
+            (std::vector<std::size_t>{2}));
 }
 
 /// Builds a syntactically valid header around hostile architecture

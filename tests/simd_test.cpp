@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -424,10 +423,10 @@ TEST_F(SimdTest, ElementwiseOpsMatchNaiveLoops) {
   }
 }
 
-// Lengths around every lane boundary of the widest target: 16 fp32 lanes
-// (AVX-512) and 64 int8 lanes per maddubs block. 0, 1, lane-1, lane,
-// lane+1 plus a non-multiple beyond one full vector exercise the masked
-// tail, the pure-mask (sub-lane) case, and the body+tail combination.
+// Lengths around the lane boundaries of the widest target (16 fp32 lanes
+// on AVX-512) and its multiples. 0, 1, lane-1, lane, lane+1 plus a
+// non-multiple beyond one full vector exercise the masked tail, the
+// pure-mask (sub-lane) case, and the body+tail combination.
 const std::size_t kTailLengths[] = {0,  1,  15, 16, 17, 31, 32,
                                     33, 63, 64, 65, 100};
 
@@ -466,111 +465,6 @@ TEST_F(SimdTest, Avx512Fp32MatchesAvx2BitwiseAtMaskedTailLengths) {
     EXPECT_EQ(br2, br5) << "bias_relu n=" << n;
     EXPECT_EQ(r2, r5) << "relu n=" << n;
     EXPECT_EQ(s2, s5) << "scale n=" << n;
-  }
-}
-
-// The int8 ops are bitwise identical across ALL targets (exact integer
-// accumulation, fixed per-element float sequence — simd.h contract).
-// Scalar is the reference; every vector target must reproduce it at
-// every tail length, including zero-length calls.
-TEST_F(SimdTest, Int8OpsBitwiseMatchScalarAtMaskedTailLengths) {
-  const std::size_t max_n = 128;
-  Rng rng(233);
-  std::vector<std::uint8_t> codes(max_n);
-  std::vector<std::int8_t> weights(max_n);
-  Matrix xf(1, max_n);
-  for (std::size_t i = 0; i < max_n; ++i) {
-    codes[i] = static_cast<std::uint8_t>(rng.uniform(0.0, 128.0));
-    weights[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
-    xf.data()[i] = static_cast<float>(rng.normal()) * 3.0f;
-  }
-  // Include the quantize_u8 clamp extremes in the float input.
-  if (max_n >= 4) {
-    xf.data()[0] = 400.0f;
-    xf.data()[1] = -400.0f;
-    xf.data()[2] = 0.0f;
-    xf.data()[3] = std::numeric_limits<float>::quiet_NaN();
-  }
-  const Matrix ybase = random_dense(1, max_n, 244);
-
-  for (const std::size_t n : kTailLengths) {
-    ASSERT_TRUE(set_simd_target(SimdTarget::kScalar));
-    const std::int32_t dot_ref =
-        simd_ops().dot_u8s8(codes.data(), weights.data(), n);
-    Matrix axpy_ref = ybase;
-    simd_ops().axpy_dq8(axpy_ref.data(), codes.data(), 0.035f, 41, n);
-    std::vector<std::uint8_t> q_ref(max_n, 0xEE);
-    simd_ops().quantize_u8(q_ref.data(), xf.data(), 17.0f, 63, n);
-    Matrix dq_ref(1, max_n, -5.0f);
-    simd_ops().dequantize_u8(dq_ref.data(), codes.data(), 0.02f, 41, n);
-
-    for (const SimdTarget target : {SimdTarget::kAvx2, SimdTarget::kAvx512}) {
-      if (!simd_target_available(target)) continue;
-      ASSERT_TRUE(set_simd_target(target));
-      EXPECT_EQ(dot_ref, simd_ops().dot_u8s8(codes.data(), weights.data(), n))
-          << simd_target_name() << " dot_u8s8 n=" << n;
-      Matrix axpy_out = ybase;
-      simd_ops().axpy_dq8(axpy_out.data(), codes.data(), 0.035f, 41, n);
-      EXPECT_EQ(axpy_ref, axpy_out)
-          << simd_target_name() << " axpy_dq8 n=" << n;
-      std::vector<std::uint8_t> q_out(max_n, 0xEE);
-      simd_ops().quantize_u8(q_out.data(), xf.data(), 17.0f, 63, n);
-      EXPECT_EQ(q_ref, q_out) << simd_target_name() << " quantize_u8 n=" << n;
-      Matrix dq_out(1, max_n, -5.0f);
-      simd_ops().dequantize_u8(dq_out.data(), codes.data(), 0.02f, 41, n);
-      EXPECT_EQ(dq_ref, dq_out)
-          << simd_target_name() << " dequantize_u8 n=" << n;
-    }
-  }
-}
-
-// Scalar int8 semantics against naive loops: exact integer dot, the
-// documented fmaf sequence for axpy_dq8, nearest-even rounding + clamp
-// for quantize_u8 (NaN -> code 0), single multiply for dequantize_u8.
-TEST_F(SimdTest, Int8OpsMatchNaiveReferenceOnScalar) {
-  ASSERT_TRUE(set_simd_target(SimdTarget::kScalar));
-  const SimdOps& ops = simd_ops();
-  const std::size_t n = 77;
-  Rng rng(255);
-  std::vector<std::uint8_t> codes(n);
-  std::vector<std::int8_t> weights(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    codes[i] = static_cast<std::uint8_t>(rng.uniform(0.0, 128.0));
-    weights[i] = static_cast<std::int8_t>(rng.uniform(-127.0, 128.0));
-  }
-
-  std::int64_t naive = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    naive += static_cast<std::int32_t>(codes[i]) * weights[i];
-  }
-  EXPECT_EQ(naive, ops.dot_u8s8(codes.data(), weights.data(), n));
-
-  Matrix y = random_dense(1, n, 266);
-  Matrix y_expected = y;
-  ops.axpy_dq8(y.data(), codes.data(), 0.125f, 30, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    y_expected.data()[i] =
-        std::fmaf(0.125f, static_cast<float>(static_cast<int>(codes[i]) - 30),
-                  y_expected.data()[i]);
-  }
-  EXPECT_EQ(y_expected, y);
-
-  // 2.5 * 1 = 2.5 rounds to 2 (nearest even), 3.5 * 1 = 3.5 rounds to 4.
-  const float ties[] = {2.5f, 3.5f, -100.0f, 500.0f,
-                        std::numeric_limits<float>::quiet_NaN()};
-  std::uint8_t tie_codes[5];
-  ops.quantize_u8(tie_codes, ties, 1.0f, 10, 5);
-  EXPECT_EQ(tie_codes[0], 12);   // 10 + round(2.5) = 10 + 2
-  EXPECT_EQ(tie_codes[1], 14);   // 10 + round(3.5) = 10 + 4
-  EXPECT_EQ(tie_codes[2], 0);    // clamped low
-  EXPECT_EQ(tie_codes[3], 127);  // clamped high
-  EXPECT_EQ(tie_codes[4], 0);    // NaN quantizes to code 0
-
-  Matrix dq(1, n);
-  ops.dequantize_u8(dq.data(), codes.data(), 0.25f, 30, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(dq.data()[i],
-              static_cast<float>(static_cast<int>(codes[i]) - 30) * 0.25f);
   }
 }
 

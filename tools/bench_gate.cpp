@@ -14,11 +14,6 @@
 // (lower is better — the latter covers the serve loadgen's latency
 // percentiles, e.g. "serve.p99_ms"; "serve.qps" stays higher-is-better).
 // Keys starting with "schema." are metadata, never compared.
-// Keys starting with "quant.agreement" are accuracy gates, not
-// throughput: they always gate (no prefix opt-in needed) and admit zero
-// regression tolerance regardless of max_regression — the committed
-// baseline value IS the contract (int8 inference is bitwise
-// deterministic, so agreement cannot legitimately drift down).
 // Baseline keys missing from the current run are skipped with a note, so
 // a filtered CI run gates only what it measured.
 
@@ -101,12 +96,6 @@ bool matches_any(const std::string& key,
   return false;
 }
 
-/// Accuracy keys: zero regression tolerance, gated unconditionally.
-bool is_exact_key(const std::string& key) {
-  const std::string prefix = "quant.agreement";
-  return key.compare(0, prefix.size(), prefix) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,9 +128,8 @@ int main(int argc, char** argv) {
     // Normalize to "higher is better" for a single comparison path.
     const double ratio = lower_is_better(key) ? base_value / it->second
                                               : it->second / base_value;
-    const bool exact = is_exact_key(key);
-    const bool gates = exact || matches_any(key, gate_prefixes);
-    const bool regressed = ratio < (exact ? 1.0 : 1.0 - max_regression);
+    const bool gates = matches_any(key, gate_prefixes);
+    const bool regressed = ratio < 1.0 - max_regression;
     gated += gates ? 1 : 0;
     std::cout << (regressed ? (gates ? "FAIL  " : "warn  ") : "ok    ")
               << key << "  baseline=" << base_value

@@ -35,11 +35,10 @@
 // --stats-json out.json writes it as JSON. GCNT_TRACE / GCNT_STATS do the
 // same via the environment.
 //
-// Performance knobs (infer/opi/flow/serve): --simd auto|scalar|avx2|avx512
-// pins the microkernel backend and --precision fp32|int8 selects the
-// inference tier. Each flag outranks its environment variable (GCNT_SIMD
-// / GCNT_PRECISION); see docs/API.md ("SIMD backend" and "Quantized
-// inference") for the full precedence and fallback rules.
+// Performance knob (infer/flow/serve): --simd auto|scalar|avx2|avx512
+// pins the microkernel backend and outranks its environment variable
+// GCNT_SIMD; see docs/API.md ("SIMD backend") for the full precedence
+// and fallback rules.
 //
 // Netlist files ending in .v are read/written as structural Verilog,
 // anything else as ISCAS .bench.
@@ -73,7 +72,6 @@
 #include "data/dataset.h"
 #include "dft/gcn_opi.h"
 #include "gcn/graph_tensors.h"
-#include "gcn/quant.h"
 #include "gcn/serialize.h"
 #include "gcn/trainer.h"
 #include "gcn/workspace.h"
@@ -135,15 +133,6 @@ void apply_simd_flag(const Args& args) {
     log_warn("--simd ", value, " unavailable on this host; using ",
              simd_target_name());
   }
-}
-
-// --precision <fp32|int8>, falling back to GCNT_PRECISION then fp32.
-// Unknown values warn and resolve to fp32 (resolve_precision), matching
-// the env-var behavior exactly.
-Precision cli_precision(const Args& args) {
-  return args.has("precision")
-             ? resolve_precision(args.get("precision", "fp32").c_str())
-             : resolve_precision();
 }
 
 bool is_verilog_path(const std::string& path) {
@@ -326,8 +315,7 @@ int cmd_train(const Args& args) {
 
 // Single-shot whole-graph inference: netlist -> tensors -> logits.
 // Prints a summary; --out writes one "name p(positive) predicted" line
-// per node. --precision int8 runs the quantized tier (docs/API.md
-// "Quantized inference").
+// per node.
 int cmd_infer(const Args& args) {
   apply_simd_flag(args);
   const std::string path = args.positional.empty()
@@ -337,11 +325,7 @@ int cmd_infer(const Args& args) {
     throw Error(ErrorKind::kUsage, "infer needs a netlist argument");
   }
   const Netlist netlist = read_netlist_file(path);
-  GcnModel model = load_model_file(args.get("model", "model.txt"));
-  if (cli_precision(args) == Precision::kInt8 &&
-      model.precision() != Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
+  const GcnModel model = load_model_file(args.get("model", "model.txt"));
   GraphTensors tensors = build_graph_tensors(netlist);
   tensors.standardize_features();
   ForwardWorkspace ws;
@@ -365,21 +349,14 @@ int cmd_infer(const Args& args) {
     std::cout << "wrote per-node predictions to " << out << "\n";
   }
   std::cout << positives << " predicted difficult-to-observe nodes of "
-            << netlist.size() << " (" << precision_name(model.precision())
-            << ", simd " << simd_target_name() << ")\n";
+            << netlist.size() << " (fp32, simd " << simd_target_name()
+            << ")\n";
   return 0;
 }
 
 int cmd_opi(const Args& args) {
   Netlist netlist = read_netlist_file(args.positional.at(0));
-  GcnModel model = load_model_file(args.get("model", "model.txt"));
-  // int8 requests quantize the model here; the incremental/sharded
-  // engines inside run_gcn_opi keep their fp32 bit-identity contract and
-  // tick quant.fallback instead (docs/API.md "Quantized inference").
-  if (cli_precision(args) == Precision::kInt8 &&
-      model.precision() != Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
+  const GcnModel model = load_model_file(args.get("model", "model.txt"));
   GcnOpiOptions options;
   // gcnt train fits the model on standardized features.
   options.standardize_features = true;
@@ -462,13 +439,6 @@ int cmd_flow(const Args& args) {
   std::cout << "trained " << history.size() << " epochs, final loss "
             << Table::num(history.back().loss, 4) << "\n";
 
-  // Quantize after training (calibration reads the trained weights); the
-  // OPI engines below fall back to fp32 with a quant.fallback tick, so
-  // this mainly exercises the flag plumbing end to end under --trace.
-  if (cli_precision(args) == Precision::kInt8) {
-    model.set_precision(Precision::kInt8);
-  }
-
   GcnOpiOptions opi_options;
   // The model above was trained on standardized features.
   opi_options.standardize_features = true;
@@ -515,7 +485,6 @@ int cmd_serve(const Args& args) {
   apply_simd_flag(args);
   serve::ServeOptions options;
   options.model_path = args.get("model", "");
-  options.precision = cli_precision(args);
   options.unix_socket = args.get("socket", "");
   if (args.has("port")) {
     options.tcp_port = static_cast<int>(args.get_size("port", 0));
@@ -771,10 +740,8 @@ int usage() {
                "[--count N] [--plain]\n"
             << "global flags: --trace out.json | --stats | --stats-json "
                "out.json\n"
-            << "infer/opi/flow/serve: --precision fp32|int8; "
-               "infer/flow/serve: --simd auto|scalar|avx2|avx512\n"
-            << "  (each flag outranks its env var GCNT_PRECISION / "
-               "GCNT_SIMD)\n"
+            << "infer/flow/serve: --simd auto|scalar|avx2|avx512 "
+               "(outranks its env var GCNT_SIMD)\n"
             << "netlists ending in .v are treated as structural Verilog\n"
             << "exit codes: 64 usage, 65 corrupt/version, 70 internal, "
                "71 resource, 74 i/o, 75 deadline\n";
