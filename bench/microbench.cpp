@@ -11,8 +11,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -23,6 +25,7 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "cop/cop.h"
+#include "gcn/graph_tensors.h"
 #include "gcn/model.h"
 #include "gen/generator.h"
 #include "nn/layers.h"
@@ -368,6 +371,59 @@ void BM_CooToCsr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CooToCsr)->ArgsProduct({{1, 8}})->ArgNames({"threads"});
+
+/// Bytes the in-place append shifts in `m` when `first_row` is its first
+/// touched row: the col_index/values entries and row_ptr slots after it.
+double shifted_bytes(const CsrMatrix& m, std::uint32_t first_row) {
+  if (first_row >= m.rows()) return 0.0;
+  const std::size_t entries = m.nnz() - m.row_ptr()[first_row];
+  return static_cast<double>(entries * (sizeof(std::uint32_t) + sizeof(float)) +
+                             (m.rows() - first_row) * sizeof(std::uint32_t));
+}
+
+/// One OP edit round on a resident 100k-gate design: 8 OPs at small-cone
+/// targets (insertion, SCOAP repair and COO append run untimed), then the
+/// timed rebuild_csr, which applies the 16 appended tuples to the four CSR
+/// forms in place. bytes_per_round is what that shifts.
+void BM_RebuildCsrAppend(benchmark::State& state) {
+  Netlist netlist = shared_netlist(100000);
+  ScoapMeasures scoap = compute_scoap(netlist);
+  GraphTensors tensors = build_graph_tensors(netlist);
+  const auto original = static_cast<NodeId>(netlist.size());
+  NodeId cursor = 0;
+  const auto next_target = [&] {
+    for (;;) {
+      cursor = (cursor + 7919) % original;
+      if (is_logic(netlist.type(cursor)) &&
+          netlist.fanin_cone(cursor, 256).size() < 256) {
+        return cursor;
+      }
+    }
+  };
+  double bytes = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::uint32_t first_target_row = std::numeric_limits<std::uint32_t>::max();
+    for (int i = 0; i < 8; ++i) {
+      const NodeId target = next_target();
+      const NodeId op = netlist.insert_observe_point(target);
+      const std::vector<NodeId> cone =
+          update_observability_after_observe(netlist, target, scoap);
+      append_observe_point(tensors, netlist, target, op, scoap, cone);
+      first_target_row = std::min(first_target_row, tensors.row_of(target));
+    }
+    // New OP rows land past the end of pred/succ_t; succ and pred_t gain
+    // an entry in each target's row.
+    bytes += shifted_bytes(tensors.succ, first_target_row) +
+             shifted_bytes(tensors.pred_t, first_target_row);
+    state.ResumeTiming();
+    tensors.rebuild_csr();
+  }
+  state.counters["bytes_per_round"] =
+      benchmark::Counter(bytes / static_cast<double>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_RebuildCsrAppend)->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus a flat (name, value) record per run for
 /// the CI regression gate: items/s when the benchmark reports it,

@@ -151,17 +151,31 @@ class InstrumentScope {
       stats_->latency_ns.record(end - begin_);
     }
     if (trace_enabled() && !trace_detail::thread_suppressed()) {
-      trace_detail::record(name_, begin_, end, nullptr, 0.0, nullptr, 0.0);
+      trace_detail::record(name_, begin_, end, keys_[0], values_[0], keys_[1],
+                           values_[1]);
     }
   }
   InstrumentScope(const InstrumentScope&) = delete;
   InstrumentScope& operator=(const InstrumentScope&) = delete;
+
+  /// Attaches a numeric argument to the span (as TraceSpan::arg).
+  void arg(const char* key, double value) noexcept {
+    if (keys_[0] == nullptr) {
+      keys_[0] = key;
+      values_[0] = value;
+    } else if (keys_[1] == nullptr) {
+      keys_[1] = key;
+      values_[1] = value;
+    }
+  }
 
  private:
   const char* name_;
   KernelStats* stats_;
   std::uint64_t begin_ = 0;
   bool active_ = false;
+  const char* keys_[2] = {nullptr, nullptr};
+  double values_[2] = {0.0, 0.0};
 };
 
 /// Standard per-kernel instrumentation: one span + calls/latency stats.

@@ -91,18 +91,22 @@ std::vector<std::uint32_t> rcm_order(std::size_t n, const CooMatrix& pred_coo,
   return order;
 }
 
-/// Maps COO coordinates through row_of, preserving tuple order — so the
-/// CSR built from the result accumulates each row's entries in exactly
-/// the order the unpermuted CSR would (bitwise-identical SpMM rows).
-CooMatrix permute_coo(const CooMatrix& coo,
+/// Tuples [first, nnz) of `coo` in tuple order, with coo's shape and the
+/// coordinates mapped through row_of (empty = identity) — so the CSR built
+/// from a permuted list accumulates each row's entries in exactly the
+/// order the unpermuted CSR would (bitwise-identical SpMM rows).
+CooMatrix mapped_tail(const CooMatrix& coo, std::size_t first,
                       const std::vector<std::uint32_t>& row_of) {
+  const auto map = [&](std::uint32_t v) {
+    return row_of.empty() ? v : row_of[v];
+  };
   CooMatrix out(coo.rows, coo.cols);
-  out.row_index.reserve(coo.nnz());
-  out.col_index.reserve(coo.nnz());
-  out.values = coo.values;
-  for (std::size_t k = 0; k < coo.nnz(); ++k) {
-    out.row_index.push_back(row_of[coo.row_index[k]]);
-    out.col_index.push_back(row_of[coo.col_index[k]]);
+  out.row_index.reserve(coo.nnz() - first);
+  out.col_index.reserve(coo.nnz() - first);
+  out.values.assign(coo.values.begin() + first, coo.values.end());
+  for (std::size_t k = first; k < coo.nnz(); ++k) {
+    out.row_index.push_back(map(coo.row_index[k]));
+    out.col_index.push_back(map(coo.col_index[k]));
   }
   return out;
 }
@@ -178,7 +182,12 @@ void GraphTensors::standardize_features() {
 }
 
 void GraphTensors::rebuild_csr() {
-  GCNT_KERNEL_SCOPE("graph.rebuild_csr");
+  static KernelStats& kernel = kernel_stats("graph.rebuild_csr");
+  static Counter& full_rebuilds =
+      StatsRegistry::instance().counter("graph.csr_full_rebuilds");
+  static Counter& appended_tuples =
+      StatsRegistry::instance().counter("graph.csr_appended_tuples");
+  InstrumentScope scope("graph.rebuild_csr", kernel);
   // Keep shapes square and in sync with the feature rows even when a node
   // has no fanin/fanout entries yet.
   const auto n = static_cast<std::uint32_t>(features.rows());
@@ -186,6 +195,11 @@ void GraphTensors::rebuild_csr() {
   if (pred_coo.cols < n) pred_coo.cols = n;
   if (succ_coo.rows < n) succ_coo.rows = n;
   if (succ_coo.cols < n) succ_coo.cols = n;
+
+  // The permutation is still the one the CSR forms were built in (not
+  // cleared or replaced since).
+  const bool same_permutation =
+      compute_row.size() == (csr_source.reordered ? csr_source.rows : 0);
 
   // Locality permutation: computed once per graph on the first rebuild
   // (when enabled), then only extended with an identity tail as nodes are
@@ -202,15 +216,39 @@ void GraphTensors::rebuild_csr() {
   }
   StatsRegistry::instance().gauge("graph.reorder").set(reordered() ? 1 : 0);
 
-  if (reordered()) {
-    pred = CsrMatrix::from_coo(permute_coo(pred_coo, compute_row));
-    succ = CsrMatrix::from_coo(permute_coo(succ_coo, compute_row));
+  // A pure append since the last build: apply only the new tuples. A
+  // permuted tail must stay inside the permutation's n rows.
+  const bool append =
+      csr_source.built && same_permutation &&
+      reordered() == csr_source.reordered && n >= csr_source.rows &&
+      pred_coo.nnz() >= csr_source.pred_nnz &&
+      succ_coo.nnz() >= csr_source.succ_nnz &&
+      (!reordered() || (pred_coo.rows == n && pred_coo.cols == n &&
+                        succ_coo.rows == n && succ_coo.cols == n));
+  std::size_t appended = 0;
+  if (append) {
+    appended = (pred_coo.nnz() - csr_source.pred_nnz) +
+               (succ_coo.nnz() - csr_source.succ_nnz);
+    pred.apply_appended(mapped_tail(pred_coo, csr_source.pred_nnz, compute_row),
+                        pred_t);
+    succ.apply_appended(mapped_tail(succ_coo, csr_source.succ_nnz, compute_row),
+                        succ_t);
   } else {
-    pred = CsrMatrix::from_coo(pred_coo);
-    succ = CsrMatrix::from_coo(succ_coo);
+    full_rebuilds.add();
+    if (reordered()) {
+      pred = CsrMatrix::from_coo(mapped_tail(pred_coo, 0, compute_row));
+      succ = CsrMatrix::from_coo(mapped_tail(succ_coo, 0, compute_row));
+    } else {
+      pred = CsrMatrix::from_coo(pred_coo);
+      succ = CsrMatrix::from_coo(succ_coo);
+    }
+    pred_t = pred.transpose();
+    succ_t = succ.transpose();
   }
-  pred_t = pred.transpose();
-  succ_t = succ.transpose();
+  appended_tuples.add(appended);
+  csr_source = CsrSource{true, reordered(), n, pred_coo.nnz(), succ_coo.nnz()};
+  scope.arg("appended", static_cast<double>(appended));
+  scope.arg("full", append ? 0.0 : 1.0);
 }
 
 GraphTensors build_graph_tensors(const Netlist& netlist,

@@ -107,8 +107,33 @@ struct GraphTensors {
     return compute_node.empty() ? row : compute_node[row];
   }
 
-  /// Rebuilds the CSR forms from the COO forms (after incremental edits).
+  /// Brings pred/succ/pred_t/succ_t up to date with the COO forms.
+  ///
+  /// Contract: between two calls the COO lists only grow by appended
+  /// tuples (append_observe_point, CooMatrix::add). When that holds — same
+  /// permutation, no COO list shorter than at the last build — only the
+  /// appended tuples are applied, in place, through
+  /// CsrMatrix::apply_appended: O(nnz + n) moved (one backward shift per
+  /// touched row) plus O(row length) per tuple, no whole-list pass, each
+  /// form bitwise equal to the full build. The full from_coo + transpose
+  /// build, O(nnz) with a far larger constant, runs on the first call and
+  /// whenever csr_source no longer describes a pure append: compute_row
+  /// cleared or newly computed, a COO list or the node count shrank.
+  /// Code that rewrites COO tuples in place (rather than appending) must
+  /// reset csr_source to force the full build. The span
+  /// "graph.rebuild_csr" carries args `appended` and `full`; stats count
+  /// graph.csr_full_rebuilds and graph.csr_appended_tuples.
   void rebuild_csr();
+
+  /// What the CSR forms were last built from (see rebuild_csr).
+  struct CsrSource {
+    bool built = false;
+    bool reordered = false;
+    std::size_t rows = 0;      ///< node count
+    std::size_t pred_nnz = 0;  ///< pred_coo.nnz()
+    std::size_t succ_nnz = 0;  ///< succ_coo.nnz()
+  };
+  CsrSource csr_source;
 };
 
 /// out.row(p) = node_major.row(tensors.node_of(p)): reorders a node-major
@@ -135,8 +160,9 @@ GraphTensors build_graph_tensors(const Netlist& netlist);
 /// node `op`: appends the COO tuples and the new feature row ([0,1,1,0]
 /// per the paper), and refreshes the observability feature of the nodes in
 /// `refreshed` (the fan-in cone whose SCOAP CO changed, as returned by
-/// update_observability_after_observe). Does NOT rebuild
-/// the CSR forms; call rebuild_csr() once per insertion round.
+/// update_observability_after_observe). Leaves the CSR forms as
+/// they are; call rebuild_csr() once per insertion round, which applies
+/// the appended tuples to them in place (no whole-graph rebuild).
 ///
 /// When `changed_rows` is non-null, every refreshed node whose stored
 /// feature value actually changed bits (the SCOAP walk refreshes the whole

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -83,6 +84,14 @@ std::uint32_t checked_index32(std::size_t value, const char* what) {
                     std::to_string(value) + ")");
   }
   return static_cast<std::uint32_t>(value);
+}
+
+/// Resizes to n, reserving n + n/8 when the capacity runs out so a run of
+/// small appends reallocates a bounded number of times (as grow_rows).
+template <typename T>
+void grow_to(std::vector<T>& v, std::size_t n, T fill = T{}) {
+  if (n > v.capacity()) v.reserve(n + n / 8);
+  v.resize(n, fill);
 }
 
 }  // namespace
@@ -303,6 +312,133 @@ CsrMatrix CsrMatrix::transpose() const {
     }
   }
   return t;
+}
+
+void CsrMatrix::apply_appended(const CooMatrix& tail, CsrMatrix& transposed) {
+  GCNT_KERNEL_SCOPE("csr_apply_appended");
+  if (tail.rows < rows_ || tail.cols < cols_) {
+    throw std::invalid_argument("CsrMatrix::apply_appended: shape shrinks");
+  }
+  if (transposed.rows_ != cols_ || transposed.cols_ != rows_ ||
+      transposed.nnz() != nnz()) {
+    throw std::invalid_argument(
+        "CsrMatrix::apply_appended: transposed form does not match");
+  }
+  checked_index32(tail.rows, "CsrMatrix::apply_appended: row count");
+  checked_index32(tail.cols, "CsrMatrix::apply_appended: column count");
+  checked_index32(nnz() + tail.nnz(),
+                  "CsrMatrix::apply_appended: nonzero count");
+
+  // The tuples by row, append order kept within a row (from_coo's
+  // buckets). Each one adds into the entry its row already holds, else
+  // into the entry an earlier tuple of this tail added, else becomes a new
+  // entry at the end of its row: from_coo's merge, summed in the same
+  // order.
+  std::vector<std::uint32_t> order(tail.nnz());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return tail.row_index[a] < tail.row_index[b];
+                   });
+  std::vector<Entry> own;
+  std::size_t row_start = 0;  // the current row's first entry in `own`
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::uint32_t r = tail.row_index[order[i]];
+    const std::uint32_t c = tail.col_index[order[i]];
+    const float value = tail.values[order[i]];
+    if (r >= tail.rows || c >= tail.cols) {
+      throw std::out_of_range(
+          "CsrMatrix::apply_appended: coordinate out of range");
+    }
+    if (i == 0 || r != tail.row_index[order[i - 1]]) row_start = own.size();
+    const std::size_t row_end = r < rows_ ? row_ptr_[r + 1] : 0;
+    std::size_t slot = r < rows_ ? row_ptr_[r] : 0;
+    while (slot < row_end && col_index_[slot] != c) ++slot;
+    if (slot < row_end) {
+      // The transposed copy (row c, column r among ascending columns)
+      // takes the sum.
+      values_[slot] += value;
+      const auto columns = transposed.col_index_.begin();
+      const auto last = columns + transposed.row_ptr_[c + 1];
+      const auto at =
+          std::lower_bound(columns + transposed.row_ptr_[c], last, r);
+      GCNT_DEBUG_ASSERT(at != last && *at == r,
+                        "apply_appended: transposed entry missing");
+      transposed.values_[at - columns] = values_[slot];
+      continue;
+    }
+    const auto same_col = [&](const Entry& e) { return e.col == c; };
+    const auto added =
+        std::find_if(own.begin() + row_start, own.end(), same_col);
+    if (added != own.end()) {
+      added->value += value;
+    } else {
+      own.push_back(Entry{r, c, value});
+    }
+  }
+
+  // The transposed form lists each row in ascending source-row order.
+  std::vector<Entry> flipped;
+  flipped.reserve(own.size());
+  for (const Entry& e : own) flipped.push_back(Entry{e.col, e.row, e.value});
+  std::sort(flipped.begin(), flipped.end(), [](const Entry& a, const Entry& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  insert_entries(tail.rows, tail.cols, own, false);
+  transposed.insert_entries(tail.cols, tail.rows, flipped, true);
+}
+
+void CsrMatrix::insert_entries(std::size_t rows, std::size_t cols,
+                               const std::vector<Entry>& entries,
+                               bool by_column) {
+  const std::size_t old_nnz = nnz();
+  grow_to(row_ptr_, rows + 1, static_cast<std::uint32_t>(old_nnz));
+  rows_ = rows;
+  cols_ = cols;
+  if (entries.empty()) return;
+  grow_to(col_index_, old_nnz + entries.size());
+  grow_to(values_, old_nnz + entries.size());
+
+  // Backward over the touched rows (row_ptr_ still holds the old offsets):
+  // the run from a touched row's old end up to the part already moved
+  // shifts by the entries inserted at or before that row, in one move;
+  // the row's own new entries are merged in on the way down.
+  const auto move_up = [&](std::size_t begin, std::size_t end,
+                           std::size_t by) {
+    std::copy_backward(col_index_.begin() + begin, col_index_.begin() + end,
+                       col_index_.begin() + end + by);
+    std::copy_backward(values_.begin() + begin, values_.begin() + end,
+                       values_.begin() + end + by);
+  };
+  std::size_t shift = entries.size();
+  std::size_t moved_from = old_nnz;
+  for (std::size_t j = entries.size(); j > 0;) {
+    const std::uint32_t row = entries[j - 1].row;
+    const std::size_t begin = row_ptr_[row];
+    std::size_t i = row_ptr_[row + 1];
+    move_up(i, moved_from, shift);
+    std::size_t out = i + shift;
+    for (; j > 0 && entries[j - 1].row == row; --j, --shift) {
+      const Entry& e = entries[j - 1];
+      while (by_column && i > begin && col_index_[i - 1] > e.col) {
+        --i;
+        --out;
+        col_index_[out] = col_index_[i];
+        values_[out] = values_[i];
+      }
+      --out;
+      col_index_[out] = e.col;
+      values_[out] = e.value;
+    }
+    moved_from = i;
+  }
+
+  std::uint32_t inserted = 0;
+  std::size_t k = 0;
+  for (std::size_t r = entries.front().row; r < rows; ++r) {
+    for (; k < entries.size() && entries[k].row == r; ++k) ++inserted;
+    row_ptr_[r + 1] += inserted;
+  }
 }
 
 }  // namespace gcnt

@@ -5,7 +5,10 @@
 // This is the core of the paper's "high performance" claim (Section 3.4):
 // the whole-graph aggregation G_d = A * E_{d-1} becomes one sparse-dense
 // multiplication, and inserting an observation point is three appended COO
-// tuples instead of a matrix rebuild.
+// tuples instead of a matrix rebuild. CsrMatrix::apply_appended carries
+// that to the compute forms: the appended tuples are applied to a built
+// CSR and its transpose in place, bit for bit what from_coo + transpose
+// of the whole list would give.
 
 #include <cstddef>
 #include <cstdint>
@@ -113,7 +116,31 @@ class CsrMatrix {
   /// Structural transpose (values preserved).
   CsrMatrix transpose() const;
 
+  /// Applies COO tuples appended after a build, in place and bitwise
+  /// equal to a rebuild. On entry *this == from_coo(coo) and `transposed`
+  /// == transpose(); `tail` holds the tuples appended to coo since then,
+  /// in append order, with coo's new (not smaller) shape. On return *this
+  /// == from_coo(coo + tail) and `transposed` == its transpose: a tuple
+  /// repeating a coordinate adds into that entry's slot, a new one goes
+  /// to the end of its row here and to its ascending place in the
+  /// transposed row, new rows start empty. Cost: one backward shift per
+  /// touched row, O(nnz + rows) moved, plus O(row length) per tuple.
+  /// Throws std::invalid_argument on a shrinking or inconsistent shape,
+  /// std::out_of_range on a coordinate outside tail's shape.
+  void apply_appended(const CooMatrix& tail, CsrMatrix& transposed);
+
  private:
+  struct Entry {
+    std::uint32_t row;
+    std::uint32_t col;
+    float value;
+  };
+  /// Grows to rows x cols and inserts `entries` (sorted by row): after the
+  /// existing entries of their row, or at their ascending column place
+  /// when `by_column`.
+  void insert_entries(std::size_t rows, std::size_t cols,
+                      const std::vector<Entry>& entries, bool by_column);
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::uint32_t> row_ptr_;

@@ -15,6 +15,7 @@
 #include "gcn/model.h"
 #include "gcn/multistage.h"
 #include "gcn/graphsage_inference.h"
+#include "gcn/incremental.h"
 #include "gcn/recursive_inference.h"
 #include "gcn/trainer.h"
 #include "gen/generator.h"
@@ -124,18 +125,31 @@ TEST(GraphTensors, IncrementalObservePointMatchesRebuild) {
   auto scoap = compute_scoap(n);
   auto levels = n.logic_levels();
   auto tensors = build_graph_tensors(n, scoap, levels);
+  const GcnModel model(tiny_config());
+  IncrementalGcnEngine engine(model, IncrementalGcnOptions{1.0});
+  engine.refresh(tensors);
 
-  // Insert three OPs through the incremental path.
-  std::size_t inserted = 0;
-  for (NodeId v = 40; v < n.size() && inserted < 3; v += 111) {
-    if (!is_logic(n.type(v))) continue;
-    const NodeId op = n.insert_observe_point(v);
-    update_observability_after_observe(n, v, scoap);
-    append_observe_point(tensors, n, v, op, scoap, n.fanin_cone(v));
-    ++inserted;
+  // Three rounds of three OPs through the incremental path, each round
+  // closed by rebuild_csr and an engine update.
+  NodeId v = 40;
+  for (int round = 0; round < 3; ++round) {
+    DirtyConeTracker tracker;
+    std::size_t inserted = 0;
+    for (; v < n.size() && inserted < 3; v += 37) {
+      if (!is_logic(n.type(v))) continue;
+      const NodeId op = n.insert_observe_point(v);
+      update_observability_after_observe(n, v, scoap);
+      std::vector<NodeId> changed;
+      append_observe_point(tensors, n, v, op, scoap, n.fanin_cone(v), &changed);
+      tracker.record_new_node(op);
+      tracker.record_edge(v, op);
+      for (const NodeId c : changed) tracker.record_feature(c);
+      ++inserted;
+    }
+    ASSERT_EQ(inserted, 3u);
+    tensors.rebuild_csr();
+    engine.update(tensors, tracker.affected(tensors, model.config().depth));
   }
-  ASSERT_EQ(inserted, 3u);
-  tensors.rebuild_csr();
 
   // Rebuild everything from scratch and compare.
   const auto fresh = build_graph_tensors(n);
@@ -146,6 +160,9 @@ TEST(GraphTensors, IncrementalObservePointMatchesRebuild) {
   }
   EXPECT_EQ(fresh.pred.nnz(), tensors.pred.nnz());
   EXPECT_EQ(fresh.succ.nnz(), tensors.succ.nnz());
+  // The in-place CSR updates feed the engine exactly what a fresh build
+  // feeds a whole-graph forward.
+  EXPECT_EQ(engine.logits(), model.infer(fresh));
 }
 
 TEST(GraphTensors, AppendObservePointRejectsMissingFeatures) {

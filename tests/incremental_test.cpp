@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/stats.h"
 #include "cop/cop.h"
 #include "data/labeler.h"
 #include "dft/gcn_cpi.h"
@@ -365,6 +369,179 @@ TEST(Incremental, RcmReorderingKeepsIncrementalBitIdentical) {
   ASSERT_FALSE(plain.reordered());
   EXPECT_EQ(engine.logits(), model.infer(plain));
 }
+
+/// Bitwise comparison of two CSR matrices (shape, row_ptr, col_index and
+/// the bits of every value).
+void expect_same_csr(const CsrMatrix& got, const CsrMatrix& want,
+                     const char* form) {
+  SCOPED_TRACE(form);
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_index(), want.col_index());
+  ASSERT_EQ(got.nnz(), want.nnz());
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        got.nnz() * sizeof(float)),
+            0);
+}
+
+/// All four CSR forms against from_coo + transpose of the full COO lists,
+/// mapped into the tensors' compute order.
+void expect_full_build(const GraphTensors& tensors) {
+  const auto full = [&](const CooMatrix& coo) {
+    CooMatrix mapped(coo.rows, coo.cols);
+    for (std::size_t k = 0; k < coo.nnz(); ++k) {
+      mapped.add(tensors.row_of(coo.row_index[k]),
+                 tensors.row_of(coo.col_index[k]), coo.values[k]);
+    }
+    return CsrMatrix::from_coo(mapped);
+  };
+  const CsrMatrix pred = full(tensors.pred_coo);
+  const CsrMatrix succ = full(tensors.succ_coo);
+  expect_same_csr(tensors.pred, pred, "pred");
+  expect_same_csr(tensors.succ, succ, "succ");
+  expect_same_csr(tensors.pred_t, pred.transpose(), "pred_t");
+  expect_same_csr(tensors.succ_t, succ.transpose(), "succ_t");
+}
+
+std::uint64_t full_rebuilds() {
+  return StatsRegistry::instance().counter("graph.csr_full_rebuilds").value();
+}
+
+class CsrAppend
+    : public ::testing::TestWithParam<std::tuple<GraphReorder, std::size_t>> {
+ protected:
+  void SetUp() override {
+    set_graph_reorder(std::get<0>(GetParam()));
+    set_kernel_threads(std::get<1>(GetParam()));
+    stats_were_on_ = stats_enabled();
+    set_stats_enabled(true);
+  }
+  void TearDown() override {
+    set_stats_enabled(stats_were_on_);
+    set_kernel_threads(0);
+    reset_graph_reorder();
+  }
+
+ private:
+  bool stats_were_on_ = false;
+};
+
+TEST_P(CsrAppend, OpRoundsMatchFullBuild) {
+  Netlist netlist = test_netlist(41, 1500);
+  ScoapMeasures scoap = compute_scoap(netlist);
+  std::vector<std::uint32_t> levels = netlist.logic_levels();
+  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
+  ASSERT_EQ(tensors.reordered(),
+            std::get<0>(GetParam()) == GraphReorder::kRcm);
+  expect_full_build(tensors);
+
+  const std::uint64_t full_before = full_rebuilds();
+  const auto targets = op_targets(netlist, 40);
+  ASSERT_EQ(targets.size(), 40u);
+  for (std::size_t round = 0; round < 5; ++round) {
+    DirtyConeTracker tracker;
+    insert_ops(netlist, tensors, scoap, levels,
+               {targets.begin() + 8 * round, targets.begin() + 8 * round + 8},
+               tracker);
+    expect_full_build(tensors);
+  }
+  EXPECT_EQ(full_rebuilds(), full_before);
+}
+
+TEST_P(CsrAppend, RawTailsMergeLikeFromCoo) {
+  Netlist netlist = test_netlist(42, 800);
+  GraphTensors tensors = build_graph_tensors(netlist);
+  const std::uint64_t full_before = full_rebuilds();
+
+  // Find a node with a fanin and no self-loop to aim the tuples at.
+  NodeId v = 0;
+  while (netlist.fanins(v).empty()) ++v;
+  const NodeId u = netlist.fanins(v).front();
+  const NodeId w = static_cast<NodeId>(netlist.size() - 1);
+
+  // Repeat an existing coordinate, add a self-loop, repeat a coordinate
+  // new in this tail, and touch the first and the last row. Each 3e-8 is
+  // below half an ulp of 1, so 1 + 3e-8 + 3e-8 keeps 1 only when summed
+  // left to right: the summation order shows in the bits.
+  tensors.pred_coo.add(v, u, 3e-8f);
+  tensors.pred_coo.add(v, v, 1.0f);
+  tensors.pred_coo.add(v, u, 3e-8f);
+  tensors.pred_coo.add(v, v, 3e-8f);
+  tensors.pred_coo.add(v, v, 3e-8f);
+  tensors.pred_coo.add(0, w, 0.2f);
+  tensors.pred_coo.add(w, 0, 0.6f);
+  tensors.succ_coo.add(u, v, 0.3f);
+  tensors.succ_coo.add(w, w, 1.5f);
+  tensors.succ_coo.add(w, w, 1e-7f);
+  tensors.rebuild_csr();
+  expect_full_build(tensors);
+
+  // An empty round and a second tail on the grown rows.
+  tensors.rebuild_csr();
+  tensors.pred_coo.add(v, v, 0.9f);
+  tensors.succ_coo.add(0, w, 0.4f);
+  tensors.rebuild_csr();
+  expect_full_build(tensors);
+  EXPECT_EQ(full_rebuilds(), full_before);
+}
+
+TEST_P(CsrAppend, AnythingButAnAppendTakesTheFullBuild) {
+  Netlist netlist = test_netlist(43, 800);
+  ScoapMeasures scoap = compute_scoap(netlist);
+  std::vector<std::uint32_t> levels = netlist.logic_levels();
+  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
+  const auto targets = op_targets(netlist, 16);
+  DirtyConeTracker tracker;
+  insert_ops(netlist, tensors, scoap, levels,
+             {targets.begin(), targets.begin() + 8}, tracker);
+
+  // A COO list shorter than at the last build.
+  std::uint64_t full_before = full_rebuilds();
+  tensors.succ_coo.row_index.pop_back();
+  tensors.succ_coo.col_index.pop_back();
+  tensors.succ_coo.values.pop_back();
+  tensors.rebuild_csr();
+  EXPECT_EQ(full_rebuilds(), full_before + 1);
+  expect_full_build(tensors);
+
+  // The permutation cleared: a reordered graph is rebuilt whole, in a
+  // recomputed order or unreordered (clearing an identity order changes
+  // nothing).
+  for (const GraphReorder reorder :
+       {std::get<0>(GetParam()), GraphReorder::kOff}) {
+    full_before = full_rebuilds();
+    const bool was_reordered = tensors.reordered();
+    tensors.compute_row.clear();
+    tensors.compute_node.clear();
+    set_graph_reorder(reorder);
+    tensors.rebuild_csr();
+    EXPECT_EQ(tensors.reordered(), reorder == GraphReorder::kRcm);
+    EXPECT_EQ(full_rebuilds(), full_before + (was_reordered ? 1 : 0));
+    expect_full_build(tensors);
+  }
+  set_graph_reorder(std::get<0>(GetParam()));
+
+  // A fresh tensor assigned: its own build is the only full one, and the
+  // rounds after it append again.
+  tensors = build_graph_tensors(netlist);
+  full_before = full_rebuilds();
+  insert_ops(netlist, tensors, scoap, levels,
+             {targets.begin() + 8, targets.end()}, tracker);
+  EXPECT_EQ(full_rebuilds(), full_before);
+  expect_full_build(tensors);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReorderThreads, CsrAppend,
+    ::testing::Combine(
+        ::testing::Values(GraphReorder::kOff, GraphReorder::kRcm),
+        ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const auto& info) {
+      const bool rcm = std::get<0>(info.param) == GraphReorder::kRcm;
+      return std::string(rcm ? "Rcm" : "Off") + "Threads" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace gcnt

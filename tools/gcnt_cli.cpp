@@ -1,6 +1,6 @@
 // gcnt — command-line front end for the library.
 //
-//   gcnt generate --gates N --seed S --out design.bench [--verilog]
+//   gcnt generate --gates N --seed S --out design.bench
 //   gcnt stats    design.bench
 //   gcnt scoap    design.bench [--worst K]
 //   gcnt label    design.bench [--batches B] [--rate R]
@@ -29,6 +29,9 @@
 // atomically and checksummed; see docs/API.md). Failures exit with
 // sysexits-style codes: 64 usage, 65 corrupt, 70 internal, 71 resource,
 // 74 i/o, 75 deadline.
+//
+// Each command accepts only the flags listed for it (plus the global ones
+// below); any other flag exits 64 (usage) naming it.
 //
 // Global observability flags (any command): --trace out.json writes a
 // Chrome trace-event file, --stats prints the stats registry to stderr,
@@ -748,20 +751,61 @@ int usage() {
   return exit_code_for(ErrorKind::kUsage);
 }
 
+/// A subcommand and the flags it reads; any other flag (besides the global
+/// --trace, --stats and --stats-json) is a usage error, so a misspelled or
+/// retired option fails instead of silently running the default path.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
 int dispatch(const Args& args) {
-  if (args.command == "generate") return cmd_generate(args);
-  if (args.command == "stats") return cmd_stats(args);
-  if (args.command == "scoap") return cmd_scoap(args);
-  if (args.command == "label") return cmd_label(args);
-  if (args.command == "atpg") return cmd_atpg(args);
-  if (args.command == "train") return cmd_train(args);
-  if (args.command == "infer") return cmd_infer(args);
-  if (args.command == "opi") return cmd_opi(args);
-  if (args.command == "flow") return cmd_flow(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "ping") return cmd_ping(args);
-  if (args.command == "metrics") return cmd_metrics(args);
-  if (args.command == "top") return cmd_top(args);
+  static const std::vector<Command> commands = {
+      {"generate", cmd_generate,
+       {"gates", "seed", "inputs", "outputs", "flops", "traps", "out"}},
+      {"stats", cmd_stats, {}},
+      {"scoap", cmd_scoap, {"worst"}},
+      {"label", cmd_label, {"batches", "rate"}},
+      {"atpg", cmd_atpg, {"sample", "patterns"}},
+      {"train", cmd_train,
+       {"batches", "epochs", "weight", "model", "checkpoint",
+        "checkpoint-interval", "resume"}},
+      {"infer", cmd_infer, {"simd", "netlist", "model", "out"}},
+      {"opi", cmd_opi,
+       {"model", "iterations", "journal", "resume", "out", "shards", "halo",
+        "spill-dir"}},
+      {"flow", cmd_flow,
+       {"simd", "gates", "seed", "batches", "epochs", "checkpoint", "resume",
+        "iterations", "shards", "halo", "spill-dir", "atpg", "sample",
+        "out"}},
+      {"serve", cmd_serve,
+       {"simd", "model", "socket", "port", "stdio", "workers", "queue",
+        "batch", "max-sessions", "access-log", "slow-ring", "read-timeout",
+        "idle-timeout", "max-conns", "watchdog", "watchdog-action",
+        "brownout-queue"}},
+      {"ping", cmd_ping, {"socket", "port", "timeout"}},
+      {"metrics", cmd_metrics, {"socket", "port", "timeout", "slow"}},
+      {"top", cmd_top,
+       {"socket", "port", "timeout", "interval", "count", "plain"}},
+  };
+  static const std::vector<std::string> global = {"trace", "stats",
+                                                  "stats-json"};
+  const auto accepts = [](const std::vector<std::string>& flags,
+                          const std::string& flag) {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  };
+  for (const Command& command : commands) {
+    if (args.command != command.name) continue;
+    for (const auto& option : args.options) {
+      if (!accepts(global, option.first) &&
+          !accepts(command.flags, option.first)) {
+        throw Error(ErrorKind::kUsage, "unknown flag --" + option.first +
+                                           " for gcnt " + args.command);
+      }
+    }
+    return command.run(args);
+  }
   return usage();
 }
 
