@@ -137,13 +137,11 @@ bool write_bench_json(
       // bench/loadgen.cpp); v5 the sharded out-of-core keys ("shard.*" —
       // see bench/fig10_sharded.cpp); v6 the numeric "simd.target"
       // gauge (and an int8-tier precision pair); v7 drops the precision
-      // pair with the int8 tier. String-valued "schema." entries are
-      // metadata; bench_gate ignores them when comparing.
-      out << "  \"schema.version\": 7,\n";
+      // pair with the int8 tier; v8 drops "schema.reorder" with graph
+      // reordering. String-valued "schema." entries are metadata;
+      // bench_gate ignores them when comparing.
+      out << "  \"schema.version\": 8,\n";
       out << "  \"schema.simd\": \"" << simd_target_name() << "\",\n";
-      out << "  \"schema.reorder\": \""
-          << (graph_reorder() == GraphReorder::kRcm ? "rcm" : "off")
-          << "\",\n";
       // The numeric gauge uses the stats-registry encoding
       // ("simd.target": 0 scalar / 1 avx2 / 2 avx512).
       out << "  \"simd.target\": " << static_cast<int>(simd_target())

@@ -36,10 +36,11 @@ std::vector<TrainGraph> balanced_training_set(
 
 /// Writes a flat {"name": value, ...} JSON object — the format the
 /// tools/bench_gate regression checker consumes (e.g. BENCH_ci.json in the
-/// CI bench smoke gate). A "schema.version": 7 metadata key is prepended
+/// CI bench smoke gate). A "schema.version": 8 metadata key is prepended
 /// (v3 added SIMD/reorder provenance, v4 the serve.* loadgen keys, v5 the
 /// shard.* out-of-core keys, v6 the resolved "simd.target" numeric gauge,
-/// v7 dropped the int8 tier's precision keys); bench_gate skips
+/// v7 dropped the int8 tier's precision keys, v8 the reorder key);
+/// bench_gate skips
 /// "schema." keys, so files from any schema version compare
 /// interchangeably. Returns false on I/O failure.
 bool write_bench_json(

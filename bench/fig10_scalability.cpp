@@ -105,47 +105,6 @@ void thread_sweep(const GcnModel& model, const GraphTensors& tensors,
   table.print(std::cout);
 }
 
-/// Column-tile sweep for the cache-blocked SpMM at the largest swept size:
-/// times aggregation over a 128-wide embedding per tile width (0 =
-/// untiled) and checks the outputs stay bitwise identical — tiling is a
-/// locality knob, never a numerics knob.
-void tile_sweep(const GraphTensors& tensors, std::size_t node_count) {
-  std::cout << "\n# SpMM column-tile sweep at " << node_count
-            << " nodes (128-wide embedding)\ntile,spmm_s,speedup,identical\n";
-  Table table("SpMM tile sweep at " + std::to_string(node_count) + " nodes",
-              {"Tile", "SpMM (s)", "Speedup", "Identical"});
-
-  const Matrix embedding(tensors.node_count(), 128, 0.5f);
-  Matrix reference;
-  double base = 0.0;
-  for (const std::size_t tile : {0ul, 16ul, 32ul, 64ul, 128ul}) {
-    set_spmm_tile_cols(tile);
-    Matrix out;
-    Timer timer;
-    tensors.pred.spmm(embedding, out);
-    const double seconds = timer.seconds();
-    set_spmm_tile_cols(0);
-
-    bool identical = true;
-    if (base == 0.0) {
-      reference = std::move(out);
-      base = seconds;
-    } else {
-      identical = out == reference;
-    }
-    const double speedup = base / std::max(seconds, 1e-12);
-    std::cout << (tile == 0 ? std::string("untiled") : std::to_string(tile))
-              << "," << Table::num(seconds, 4) << ","
-              << Table::num(speedup, 2) << "," << (identical ? "yes" : "NO")
-              << "\n";
-    table.add_row({tile == 0 ? std::string("untiled") : std::to_string(tile),
-                   Table::num(seconds, 4), Table::num(speedup, 2),
-                   identical ? "yes" : "NO"});
-  }
-  std::cout << "\n";
-  table.print(std::cout);
-}
-
 /// One timed whole-graph inference on 8 kernel threads at the largest
 /// swept size, the "fig10.infer_fp32_s" entry for GCNT_BENCH_JSON.
 double timed_inference(const GcnModel& model, const GraphTensors& tensors) {
@@ -231,7 +190,6 @@ int main() {
 
   if (last_nodes > 0) {
     thread_sweep(model, last_tensors, last_nodes);
-    tile_sweep(last_tensors, last_nodes);
     const std::vector<std::pair<std::string, double>> entries = {
         {"fig10.infer_fp32_s", timed_inference(model, last_tensors)}};
     if (const char* path = std::getenv("GCNT_BENCH_JSON")) {

@@ -8,18 +8,17 @@
 // Sizes sweep 3*10^4..10^7 gates capped by GCNT_BENCH_MAX_NODES (so the
 // CI smoke cap of 3*10^4 and the nightly cap share JSON key prefixes).
 //
-// Knobs (environment variables):
-//   GCNT_SHARDS                 shard count K              (default 8)
-//   GCNT_HALO                   halo depth D               (default 2)
-//   GCNT_SPILL_DIR              non-empty: spill off-shard blocks to disk
-//   GCNT_SHARD_CHECK_MAX_NODES  run the monolithic engine and assert
-//                               bitwise logit identity up to this size
-//                               (default 200000; the whole point of
-//                               sharding is that the monolithic engine
-//                               does not fit at the top sizes)
-//   GCNT_SHARD_SWEEP            comma list of shard counts — runs a
-//   GCNT_HALO_SWEEP             comma list of halo depths — K x D
-//                               bit-identity sweep at the smallest size
+// Flags (each takes a value; any other argument exits 64):
+//   --shards K                shard count              (default 8)
+//   --halo D                  halo depth               (default 2)
+//   --spill-dir DIR           spill off-shard blocks to disk under DIR
+//   --check-max-nodes N       run the monolithic engine and assert
+//                             bitwise logit identity up to this size
+//                             (default 200000; the whole point of
+//                             sharding is that the monolithic engine
+//                             does not fit at the top sizes)
+//   --shard-sweep K1,K2,...   shard counts — runs a K x D bit-identity
+//   --halo-sweep D1,D2,...    sweep at the smallest size (halo default 1)
 //
 // Any identity violation makes the binary exit 1. With
 // GCNT_BENCH_JSON=<path> a flat record is written for tools/bench_gate
@@ -36,6 +35,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,25 +53,59 @@ namespace {
 
 using namespace gcnt;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  return value ? static_cast<std::size_t>(std::strtoull(value, nullptr, 10))
-               : fallback;
+struct Flags {
+  std::size_t shards = 8;
+  int halo = 2;
+  std::string spill_root;
+  std::size_t check_cap = 200000;
+  std::vector<std::size_t> shard_sweep;
+  std::vector<std::size_t> halo_sweep;
+};
+
+std::size_t parse_size(const std::string& text) {
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || text[0] == '-' || *end != '\0') {
+    throw std::invalid_argument("bad number '" + text + "'");
+  }
+  return static_cast<std::size_t>(value);
 }
 
-std::vector<std::size_t> env_list(const char* name) {
+std::vector<std::size_t> parse_list(const std::string& text) {
   std::vector<std::size_t> values;
-  const char* value = std::getenv(name);
-  if (!value) return values;
-  std::stringstream stream(value);
+  std::stringstream stream(text);
   std::string item;
   while (std::getline(stream, item, ',')) {
-    if (!item.empty()) {
-      values.push_back(
-          static_cast<std::size_t>(std::strtoull(item.c_str(), nullptr, 10)));
-    }
+    if (!item.empty()) values.push_back(parse_size(item));
   }
   return values;
+}
+
+/// Parses `--flag value` pairs; throws std::invalid_argument naming the
+/// first unknown flag, missing value or malformed number.
+Flags parse_flags(int argc, char** argv) {
+  Flags flags;
+  for (int i = 1; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (i + 1 >= argc) throw std::invalid_argument("missing value for " + flag);
+    const std::string value = argv[i + 1];
+    if (flag == "--shards") {
+      flags.shards = parse_size(value);
+    } else if (flag == "--halo") {
+      flags.halo = static_cast<int>(parse_size(value));
+    } else if (flag == "--spill-dir") {
+      flags.spill_root = value;
+    } else if (flag == "--check-max-nodes") {
+      flags.check_cap = parse_size(value);
+    } else if (flag == "--shard-sweep") {
+      flags.shard_sweep = parse_list(value);
+    } else if (flag == "--halo-sweep") {
+      flags.halo_sweep = parse_list(value);
+    } else {
+      throw std::invalid_argument("unknown flag " + flag);
+    }
+  }
+  return flags;
 }
 
 /// Process peak resident set in KB (ru_maxrss is KB on Linux). Monotone
@@ -106,14 +140,23 @@ ShardedGcnOptions engine_options(std::size_t shards, int halo,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Flags flags;
+  try {
+    flags = parse_flags(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "fig10_sharded: " << e.what()
+              << "\nusage: fig10_sharded [--shards K] [--halo D] "
+                 "[--spill-dir DIR] [--check-max-nodes N] "
+                 "[--shard-sweep K1,K2,...] [--halo-sweep D1,D2,...]\n";
+    return 64;
+  }
   trace_set_thread_name("main");
   const std::size_t cap = bench::bench_max_nodes();
-  const std::size_t shards = env_size("GCNT_SHARDS", 8);
-  const int halo = static_cast<int>(env_size("GCNT_HALO", 2));
-  const std::size_t check_cap = env_size("GCNT_SHARD_CHECK_MAX_NODES", 200000);
-  const char* spill_env = std::getenv("GCNT_SPILL_DIR");
-  const std::string spill_root = spill_env ? spill_env : "";
+  const std::size_t shards = flags.shards;
+  const int halo = flags.halo;
+  const std::size_t check_cap = flags.check_cap;
+  const std::string& spill_root = flags.spill_root;
   GcnModel model(bench::paper_model_config());
 
   std::cout << "# Figure 10 (sharded): out-of-core inference, K=" << shards
@@ -176,8 +219,8 @@ int main() {
 
   // K x D bit-identity sweep at the smallest swept size: every combination
   // must reproduce the monolithic logits exactly.
-  const std::vector<std::size_t> sweep_shards = env_list("GCNT_SHARD_SWEEP");
-  const std::vector<std::size_t> sweep_halos = env_list("GCNT_HALO_SWEEP");
+  const std::vector<std::size_t>& sweep_shards = flags.shard_sweep;
+  const std::vector<std::size_t>& sweep_halos = flags.halo_sweep;
   if (!sweep_shards.empty() && smallest > 0) {
     Netlist netlist;
     const GraphTensors tensors = make_tensors(smallest, netlist);

@@ -74,28 +74,6 @@ BENCHMARK(BM_SpmmAggregation)
     ->ArgsProduct({{10000, 100000}, kThreadSweep})
     ->ArgNames({"gates", "threads"});
 
-/// Cache-blocked SpMM: the column-tile sweep (tile 0 = untiled default).
-/// A wide dense operand makes the tiling effect visible; the result is
-/// bitwise identical at every width (tensor_test pins this).
-void BM_SpmmTiled(benchmark::State& state) {
-  set_kernel_threads(static_cast<std::size_t>(state.range(1)));
-  set_spmm_tile_cols(static_cast<std::size_t>(state.range(0)));
-  const Netlist& netlist = shared_netlist(100000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  Matrix embedding(tensors.node_count(), 128, 0.5f);
-  Matrix out;
-  for (auto _ : state) {
-    tensors.pred.spmm(embedding, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_spmm_tile_cols(0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tensors.pred.nnz()));
-}
-BENCHMARK(BM_SpmmTiled)
-    ->ArgsProduct({{0, 16, 32, 64}, {1, 8}})
-    ->ArgNames({"tile", "threads"});
-
 /// Its `x` is all zeros, so every A row is empty and this times the
 /// GEMM's zero skip, not its multiply-adds (BM_GemmLayer times real
 /// post-ReLU inputs).
@@ -249,30 +227,6 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward)->ArgsProduct({{0, 1}})->ArgNames({"fused"});
 
-/// Whole-graph inference with the CSR forms in node order (reorder 0)
-/// versus RCM compute order (reorder 1). Results are bitwise identical;
-/// only the SpMM gather locality changes.
-void BM_GcnInferenceReorder(benchmark::State& state) {
-  set_kernel_threads(8);
-  set_graph_reorder(state.range(0) != 0 ? GraphReorder::kRcm
-                                        : GraphReorder::kOff);
-  const Netlist& netlist = shared_netlist(100000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  reset_graph_reorder();
-  GcnConfig config;
-  config.embed_dims = {32, 64, 128};
-  config.fc_dims = {64, 64, 128};
-  GcnModel model(config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.infer(tensors));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(netlist.size()));
-}
-BENCHMARK(BM_GcnInferenceReorder)
-    ->ArgsProduct({{0, 1}})
-    ->ArgNames({"reorder"});
-
 void BM_GcnFullInference(benchmark::State& state) {
   const auto gates = static_cast<std::size_t>(state.range(0));
   set_kernel_threads(static_cast<std::size_t>(state.range(1)));
@@ -410,7 +364,7 @@ void BM_RebuildCsrAppend(benchmark::State& state) {
       const std::vector<NodeId> cone =
           update_observability_after_observe(netlist, target, scoap);
       append_observe_point(tensors, netlist, target, op, scoap, cone);
-      first_target_row = std::min(first_target_row, tensors.row_of(target));
+      first_target_row = std::min(first_target_row, target);
     }
     // New OP rows land past the end of pred/succ_t; succ and pred_t gain
     // an entry in each target's row.

@@ -1,156 +1,21 @@
 #include "gcn/graph_tensors.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
-#include "common/log.h"
 #include "common/stats.h"
 #include "common/trace.h"
 
 namespace gcnt {
 
-namespace {
-
-// -1 = no programmatic override (fall back to GCNT_REORDER / off).
-std::atomic<int> reorder_override{-1};
-
-GraphReorder env_reorder() {
-  static const GraphReorder cached = [] {
-    const char* env = std::getenv("GCNT_REORDER");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "off") == 0) {
-      return GraphReorder::kOff;
-    }
-    if (std::strcmp(env, "rcm") == 0) return GraphReorder::kRcm;
-    log_warn("unknown GCNT_REORDER value '", env,
-             "' (want off|rcm); reordering stays off");
-    return GraphReorder::kOff;
-  }();
-  return cached;
-}
-
-/// Reverse Cuthill-McKee over the symmetrized pred+succ adjacency.
-/// Fully deterministic: BFS components start at the unvisited node of
-/// minimum (degree, id) and neighbors are visited in ascending
-/// (degree, id) order. Returns the compute order (position -> node).
-std::vector<std::uint32_t> rcm_order(std::size_t n, const CooMatrix& pred_coo,
-                                     const CooMatrix& succ_coo) {
-  std::vector<std::vector<std::uint32_t>> adjacency(n);
-  const auto add_edges = [&](const CooMatrix& coo) {
-    for (std::size_t k = 0; k < coo.nnz(); ++k) {
-      const std::uint32_t r = coo.row_index[k];
-      const std::uint32_t c = coo.col_index[k];
-      if (r == c) continue;
-      adjacency[r].push_back(c);
-      adjacency[c].push_back(r);
-    }
-  };
-  add_edges(pred_coo);
-  add_edges(succ_coo);
-  for (auto& neighbors : adjacency) {
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-  }
-
-  const auto degree_less = [&](std::uint32_t a, std::uint32_t b) {
-    const std::size_t da = adjacency[a].size();
-    const std::size_t db = adjacency[b].size();
-    return da != db ? da < db : a < b;
-  };
-  std::vector<std::uint32_t> starts(n);
-  for (std::uint32_t v = 0; v < n; ++v) starts[v] = v;
-  std::sort(starts.begin(), starts.end(), degree_less);
-
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  std::vector<std::uint8_t> visited(n, 0);
-  std::vector<std::uint32_t> neighbors;
-  for (const std::uint32_t start : starts) {
-    if (visited[start]) continue;
-    visited[start] = 1;
-    std::size_t head = order.size();
-    order.push_back(start);
-    while (head < order.size()) {
-      const std::uint32_t v = order[head++];
-      neighbors.clear();
-      for (const std::uint32_t u : adjacency[v]) {
-        if (!visited[u]) neighbors.push_back(u);
-      }
-      std::sort(neighbors.begin(), neighbors.end(), degree_less);
-      for (const std::uint32_t u : neighbors) {
-        visited[u] = 1;
-        order.push_back(u);
-      }
-    }
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
-/// Tuples [first, nnz) of `coo` in tuple order, with coo's shape and the
-/// coordinates mapped through row_of (empty = identity) — so the CSR built
-/// from a permuted list accumulates each row's entries in exactly the
-/// order the unpermuted CSR would (bitwise-identical SpMM rows).
-CooMatrix mapped_tail(const CooMatrix& coo, std::size_t first,
-                      const std::vector<std::uint32_t>& row_of) {
-  const auto map = [&](std::uint32_t v) {
-    return row_of.empty() ? v : row_of[v];
-  };
-  CooMatrix out(coo.rows, coo.cols);
-  out.row_index.reserve(coo.nnz() - first);
-  out.col_index.reserve(coo.nnz() - first);
-  out.values.assign(coo.values.begin() + first, coo.values.end());
-  for (std::size_t k = first; k < coo.nnz(); ++k) {
-    out.row_index.push_back(map(coo.row_index[k]));
-    out.col_index.push_back(map(coo.col_index[k]));
-  }
-  return out;
-}
-
-}  // namespace
-
-GraphReorder graph_reorder() {
-  const int forced = reorder_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<GraphReorder>(forced);
-  return env_reorder();
-}
-
-void set_graph_reorder(GraphReorder reorder) {
-  reorder_override.store(static_cast<int>(reorder), std::memory_order_relaxed);
-}
-
-void reset_graph_reorder() {
-  reorder_override.store(-1, std::memory_order_relaxed);
-}
-
-void gather_compute_rows(const GraphTensors& tensors, const Matrix& node_major,
+void gather_compute_rows(const GraphTensors&, const Matrix& node_major,
                          Matrix& out) {
-  if (!tensors.reordered()) {
-    out.copy_from(node_major);
-    return;
-  }
-  out.resize(node_major.rows(), node_major.cols());
-  for (std::size_t p = 0; p < node_major.rows(); ++p) {
-    const float* in = node_major.row(tensors.node_of(p));
-    std::copy(in, in + node_major.cols(), out.row(p));
-  }
+  out.copy_from(node_major);
 }
 
-void scatter_compute_rows(const GraphTensors& tensors,
-                          const Matrix& compute_major, Matrix& out) {
-  if (!tensors.reordered()) {
-    out.copy_from(compute_major);
-    return;
-  }
-  out.resize(compute_major.rows(), compute_major.cols());
-  for (std::size_t p = 0; p < compute_major.rows(); ++p) {
-    const float* in = compute_major.row(p);
-    std::copy(in, in + compute_major.cols(), out.row(tensors.node_of(p)));
-  }
+void scatter_compute_rows(const GraphTensors&, const Matrix& compute_major,
+                          Matrix& out) {
+  out.copy_from(compute_major);
 }
 
 float transform_feature(double raw) noexcept {
@@ -196,57 +61,25 @@ void GraphTensors::rebuild_csr() {
   if (succ_coo.rows < n) succ_coo.rows = n;
   if (succ_coo.cols < n) succ_coo.cols = n;
 
-  // The permutation is still the one the CSR forms were built in (not
-  // cleared or replaced since).
-  const bool same_permutation =
-      compute_row.size() == (csr_source.reordered ? csr_source.rows : 0);
-
-  // Locality permutation: computed once per graph on the first rebuild
-  // (when enabled), then only extended with an identity tail as nodes are
-  // appended — never recomputed, so cached incremental state stays valid.
-  if (!compute_row.empty()) {
-    for (auto v = static_cast<std::uint32_t>(compute_row.size()); v < n; ++v) {
-      compute_row.push_back(v);
-      compute_node.push_back(v);
-    }
-  } else if (graph_reorder() == GraphReorder::kRcm && n > 0) {
-    compute_node = rcm_order(n, pred_coo, succ_coo);
-    compute_row.assign(n, 0);
-    for (std::uint32_t p = 0; p < n; ++p) compute_row[compute_node[p]] = p;
-  }
-  StatsRegistry::instance().gauge("graph.reorder").set(reordered() ? 1 : 0);
-
-  // A pure append since the last build: apply only the new tuples. A
-  // permuted tail must stay inside the permutation's n rows.
-  const bool append =
-      csr_source.built && same_permutation &&
-      reordered() == csr_source.reordered && n >= csr_source.rows &&
-      pred_coo.nnz() >= csr_source.pred_nnz &&
-      succ_coo.nnz() >= csr_source.succ_nnz &&
-      (!reordered() || (pred_coo.rows == n && pred_coo.cols == n &&
-                        succ_coo.rows == n && succ_coo.cols == n));
+  // A pure append since the last build: apply only the new tuples.
+  const bool append = csr_source.built && n >= csr_source.rows &&
+                      pred_coo.nnz() >= csr_source.pred_nnz &&
+                      succ_coo.nnz() >= csr_source.succ_nnz;
   std::size_t appended = 0;
   if (append) {
     appended = (pred_coo.nnz() - csr_source.pred_nnz) +
                (succ_coo.nnz() - csr_source.succ_nnz);
-    pred.apply_appended(mapped_tail(pred_coo, csr_source.pred_nnz, compute_row),
-                        pred_t);
-    succ.apply_appended(mapped_tail(succ_coo, csr_source.succ_nnz, compute_row),
-                        succ_t);
+    pred.apply_appended(pred_coo, csr_source.pred_nnz, pred_t);
+    succ.apply_appended(succ_coo, csr_source.succ_nnz, succ_t);
   } else {
     full_rebuilds.add();
-    if (reordered()) {
-      pred = CsrMatrix::from_coo(mapped_tail(pred_coo, 0, compute_row));
-      succ = CsrMatrix::from_coo(mapped_tail(succ_coo, 0, compute_row));
-    } else {
-      pred = CsrMatrix::from_coo(pred_coo);
-      succ = CsrMatrix::from_coo(succ_coo);
-    }
+    pred = CsrMatrix::from_coo(pred_coo);
+    succ = CsrMatrix::from_coo(succ_coo);
     pred_t = pred.transpose();
     succ_t = succ.transpose();
   }
   appended_tuples.add(appended);
-  csr_source = CsrSource{true, reordered(), n, pred_coo.nnz(), succ_coo.nnz()};
+  csr_source = CsrSource{true, n, pred_coo.nnz(), succ_coo.nnz()};
   scope.arg("appended", static_cast<double>(appended));
   scope.arg("full", append ? 0.0 : 1.0);
 }

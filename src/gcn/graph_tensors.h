@@ -31,31 +31,6 @@ constexpr std::size_t kNodeFeatureDim = 4;
 /// log1p compression applied to each raw attribute.
 float transform_feature(double raw) noexcept;
 
-/// Locality reordering policy for the CSR compute forms. With kRcm, the
-/// first rebuild_csr() computes a reverse-Cuthill-McKee permutation of
-/// the node ids and builds the CSR matrices in that order, shrinking the
-/// column-index bandwidth so SpMM's gathered dense rows stay cache-hot.
-/// Reordering is invisible at every API boundary: features, labels and
-/// logits remain in node order, the GCN gathers/scatters through the
-/// permutation internally, and (because the permuted CSR preserves the
-/// per-row accumulation order) each node's logits are bitwise identical
-/// to the unreordered run.
-enum class GraphReorder : int {
-  kOff = 0,
-  kRcm = 1,
-};
-
-/// Resolved policy: set_graph_reorder override > GCNT_REORDER environment
-/// ("off" | "rcm", read once per process) > off. Affects tensors built /
-/// rebuilt after the change, never existing ones. The active policy is
-/// published as the "graph.reorder" stats gauge and recorded in bench
-/// JSON as "schema.reorder".
-GraphReorder graph_reorder();
-/// Forces the policy (tests, benches).
-void set_graph_reorder(GraphReorder reorder);
-/// Drops the override; resolution falls back to GCNT_REORDER.
-void reset_graph_reorder();
-
 struct GraphTensors {
   Matrix features;  ///< N x 4, transformed (optionally standardized) attributes
   CooMatrix pred_coo;
@@ -87,38 +62,18 @@ struct GraphTensors {
 
   std::size_t node_count() const noexcept { return features.rows(); }
 
-  /// Locality permutation over the CSR forms (empty = identity, i.e.
-  /// reordering off for this graph). Computed by the first rebuild_csr()
-  /// under GraphReorder::kRcm and extended with an identity tail when
-  /// nodes are appended, so cached incremental state stays valid.
-  /// compute_row maps a node id to its CSR row; compute_node inverts it.
-  /// Everything COO stays in node order — only the CSR forms (and the
-  /// GCN's internal activations) live in compute order.
-  std::vector<std::uint32_t> compute_row;
-  std::vector<std::uint32_t> compute_node;
-
-  bool reordered() const noexcept { return !compute_row.empty(); }
-  /// CSR row holding node v.
-  std::uint32_t row_of(NodeId v) const noexcept {
-    return compute_row.empty() ? v : compute_row[v];
-  }
-  /// Node held by CSR row `row`.
-  NodeId node_of(std::uint32_t row) const noexcept {
-    return compute_node.empty() ? row : compute_node[row];
-  }
-
   /// Brings pred/succ/pred_t/succ_t up to date with the COO forms.
   ///
   /// Contract: between two calls the COO lists only grow by appended
-  /// tuples (append_observe_point, CooMatrix::add). When that holds — same
-  /// permutation, no COO list shorter than at the last build — only the
-  /// appended tuples are applied, in place, through
+  /// tuples (append_observe_point, CooMatrix::add). When that holds — no
+  /// COO list shorter than at the last build — only the appended tuples
+  /// are applied, in place, through
   /// CsrMatrix::apply_appended: O(nnz + n) moved (one backward shift per
   /// touched row) plus O(row length) per tuple, no whole-list pass, each
   /// form bitwise equal to the full build. The full from_coo + transpose
   /// build, O(nnz) with a far larger constant, runs on the first call and
-  /// whenever csr_source no longer describes a pure append: compute_row
-  /// cleared or newly computed, a COO list or the node count shrank.
+  /// whenever csr_source no longer describes a pure append: a COO list or
+  /// the node count shrank.
   /// Code that rewrites COO tuples in place (rather than appending) must
   /// reset csr_source to force the full build. The span
   /// "graph.rebuild_csr" carries args `appended` and `full`; stats count
@@ -128,7 +83,6 @@ struct GraphTensors {
   /// What the CSR forms were last built from (see rebuild_csr).
   struct CsrSource {
     bool built = false;
-    bool reordered = false;
     std::size_t rows = 0;      ///< node count
     std::size_t pred_nnz = 0;  ///< pred_coo.nnz()
     std::size_t succ_nnz = 0;  ///< succ_coo.nnz()
@@ -136,14 +90,13 @@ struct GraphTensors {
   CsrSource csr_source;
 };
 
-/// out.row(p) = node_major.row(tensors.node_of(p)): reorders a node-major
-/// matrix into compute order (plain capacity-reusing copy when the graph
-/// is not reordered).
+/// out = node_major. A node id is its CSR row and its activation row, so
+/// this is a plain capacity-reusing copy; only the perfbench layer replay
+/// still calls it.
 void gather_compute_rows(const GraphTensors& tensors, const Matrix& node_major,
                          Matrix& out);
 
-/// out.row(tensors.node_of(p)) = compute_major.row(p): the inverse
-/// permutation, back to node order.
+/// out = compute_major, the counterpart of gather_compute_rows.
 void scatter_compute_rows(const GraphTensors& tensors,
                           const Matrix& compute_major, Matrix& out);
 

@@ -24,8 +24,6 @@ std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
     throw std::invalid_argument(
         "DirtyConeTracker::affected: tensors need rebuild_csr()");
   }
-  // The BFS runs in CSR (compute) row space; seeds map in through the
-  // locality permutation and results map back out to node ids below.
   std::vector<std::uint8_t> visited(n, 0);
   std::vector<NodeId> frontier;
   frontier.reserve(seeds_.size());
@@ -33,10 +31,9 @@ std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
     if (v >= n) {
       throw std::out_of_range("DirtyConeTracker::affected: seed out of range");
     }
-    const NodeId row = tensors.row_of(v);
-    if (!visited[row]) {
-      visited[row] = 1;
-      frontier.push_back(row);
+    if (!visited[v]) {
+      visited[v] = 1;
+      frontier.push_back(v);
     }
   }
 
@@ -65,10 +62,9 @@ std::vector<NodeId> DirtyConeTracker::affected(const GraphTensors& tensors,
   }
 
   std::vector<NodeId> result;
-  for (NodeId row = 0; row < n; ++row) {
-    if (visited[row]) result.push_back(tensors.node_of(row));
+  for (NodeId v = 0; v < n; ++v) {
+    if (visited[v]) result.push_back(v);
   }
-  if (tensors.reordered()) std::sort(result.begin(), result.end());
   return result;
 }
 
@@ -118,18 +114,12 @@ const Matrix& IncrementalGcnEngine::update(const GraphTensors& tensors,
   grow_rows(logits_, n);
   cached_nodes_ = n;
 
-  // E_0 rows come straight from the (already updated) feature matrix;
-  // the cached layers live in compute row order.
+  // E_0 rows come straight from the (already updated) feature matrix.
   for (const NodeId v : dirty) {
     const float* in = tensors.features.row(v);
-    std::copy(in, in + tensors.features.cols(),
-              embeddings_[0].row(tensors.row_of(v)));
+    std::copy(in, in + tensors.features.cols(), embeddings_[0].row(v));
   }
   if (dirty.empty()) return logits_;
-  dirty_rows_.resize(dirty.size());
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    dirty_rows_[i] = tensors.row_of(dirty[i]);
-  }
 
   // Re-propagate the dirty rows layer by layer. A clean row's inputs are
   // all clean (the dirty set is the D-hop closure), so reading the cached
@@ -137,8 +127,8 @@ const Matrix& IncrementalGcnEngine::update(const GraphTensors& tensors,
   // bit-identical to a full forward (GcnModel::layer_step).
   for (std::size_t d = 0; d + 1 < embeddings_.size(); ++d) {
     model_->layer_step(d, tensors.pred, tensors.succ, embeddings_[d],
-                       &dirty_rows_, ws_, ws_.ping);
-    scatter_rows(ws_.ping, dirty_rows_, embeddings_[d + 1]);
+                       &dirty, ws_, ws_.ping);
+    scatter_rows(ws_.ping, dirty, embeddings_[d + 1]);
   }
   scatter_rows(model_->fc_head(ws_.ping, ws_.pong), dirty, logits_);
   return logits_;

@@ -107,8 +107,6 @@ class IncrementalGcnEngine {
   /// Scratch reused by refresh()/update(); with a stable graph size the
   /// steady-state re-propagation allocates nothing.
   ForwardWorkspace ws_;
-  /// Dirty node ids mapped into compute row order (reused scratch).
-  std::vector<NodeId> dirty_rows_;
   std::size_t cached_nodes_ = 0;  ///< 0 = no valid cache
   bool last_was_full_ = false;
   std::size_t last_dirty_rows_ = 0;

@@ -83,29 +83,29 @@ void GcnModel::run_forward(const GraphTensors& graph,
   }
 
   // Ping-pong the activations through the workspace: after one warm-up
-  // pass per graph, the whole forward allocates nothing. All internal
-  // activations live in compute (possibly reordered) row order; only the
-  // gather here and the scatter of the logits touch the permutation.
+  // pass per graph, the whole forward allocates nothing. Layer 0 reads
+  // the feature rows in place.
+  const Matrix* x = &graph.features;
   Matrix* emb = &ws.ping;
   Matrix* alt = &ws.pong;
-  gather_compute_rows(graph, graph.features, *emb);
   if (embeddings != nullptr) {
     embeddings->resize(encoders_.size() + 1);
-    (*embeddings)[0].copy_from(*emb);
+    (*embeddings)[0].copy_from(graph.features);
   }
   for (std::size_t d = 0; d < encoders_.size(); ++d) {
-    layer_step(d, graph.pred, graph.succ, *emb, nullptr, ws, *alt);
-    if (embeddings != nullptr) (*embeddings)[d + 1].copy_from(*alt);
+    layer_step(d, graph.pred, graph.succ, *x, nullptr, ws, *emb);
+    if (embeddings != nullptr) (*embeddings)[d + 1].copy_from(*emb);
     if (cache != nullptr) {
       cache->pred_sums[d].copy_from(ws.pred_sum);
       cache->succ_sums[d].copy_from(ws.succ_sum);
       cache->aggregated[d].copy_from(ws.aggregated);
     }
+    x = emb;
     std::swap(emb, alt);
   }
-  const Matrix& logits =
-      fc_head(*emb, *alt, cache != nullptr ? &cache->fc_inputs : nullptr);
-  scatter_compute_rows(graph, logits, out);
+  // The last layer's output is in `alt`.
+  out.copy_from(fc_head(*alt, *emb,
+                        cache != nullptr ? &cache->fc_inputs : nullptr));
 }
 
 Matrix GcnModel::forward(const GraphTensors& graph) {
@@ -136,14 +136,12 @@ void GcnModel::backward(const GraphTensors& graph, const Matrix& dlogits) {
   if (cache_.fc_inputs.size() != fc_.size()) {
     throw std::logic_error("GcnModel::backward without matching forward");
   }
-  // FC head, in reverse. Cached activations are in compute row order, so
-  // the incoming node-order logit gradients gather through the
-  // permutation first (identity copy when not reordered).
+  // FC head, in reverse; the last layer reads dlogits directly.
   Matrix grad;
-  gather_compute_rows(graph, dlogits, grad);
   for (std::size_t i = fc_.size(); i-- > 0;) {
     Matrix dinput;
-    fc_[i].backward(cache_.fc_inputs[i], grad, dinput);
+    fc_[i].backward(cache_.fc_inputs[i], i + 1 == fc_.size() ? dlogits : grad,
+                    dinput);
     if (i > 0) {
       // Undo the ReLU that produced fc_inputs[i].
       Matrix masked;

@@ -72,8 +72,7 @@ class GcnModel {
   void infer(const GraphTensors& graph, ForwardWorkspace& ws,
              Matrix& out) const;
 
-  /// Whole-graph inference that also keeps E_0..E_D (compute row order)
-  /// in `embeddings`: the incremental engine's refresh.
+  /// Whole-graph inference that also keeps E_0..E_D in `embeddings`: the incremental engine's refresh.
   void infer_embeddings(const GraphTensors& graph, ForwardWorkspace& ws,
                         Matrix& out, std::vector<Matrix>& embeddings) const;
 

@@ -14,20 +14,6 @@
 
 namespace gcnt {
 
-namespace {
-
-/// logits.row(tensors.node_of(rows[i])) = compact.row(i): compact logits
-/// of global compute rows back to node order.
-void scatter_to_nodes(const GraphTensors& tensors, const Matrix& compact,
-                      const std::vector<std::uint32_t>& rows, Matrix& logits) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const float* in = compact.row(i);
-    std::copy(in, in + compact.cols(), logits.row(tensors.node_of(rows[i])));
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // ShardStore
 
@@ -181,17 +167,6 @@ void ShardedGcnEngine::rebuild_all(const GraphTensors& tensors) {
   PartitionOptions popts;
   popts.shards = options_.shards;
   popts.halo = options_.halo;
-  popts.strategy = options_.strategy;
-  // kByKey orders compute rows by the (transformed) logic-level feature,
-  // so each shard holds a band of topological depth.
-  std::vector<float> key;
-  if (options_.strategy == PartitionStrategy::kByKey) {
-    key.resize(tensors.node_count());
-    for (std::uint32_t row = 0; row < key.size(); ++row) {
-      key[row] = tensors.features.at(tensors.node_of(row), 0);
-    }
-    popts.order_key = &key;
-  }
   partition_ = GraphPartition::build(tensors.pred, tensors.succ, popts);
   has_partition_ = true;
   locals_.resize(partition_.shard_count());
@@ -323,12 +298,7 @@ void ShardedGcnEngine::gather_active(const GraphTensors& tensors,
                                      std::size_t k, int layer, Matrix& out) {
   const LocalShard& ls = locals_[k];
   if (layer == 0) {
-    // E_0 in compute order is features.row(node_of(row)).
-    out.resize(ls.active.size(), tensors.features.cols());
-    for (std::size_t i = 0; i < ls.active.size(); ++i) {
-      const float* in = tensors.features.row(tensors.node_of(ls.active[i]));
-      std::copy(in, in + tensors.features.cols(), out.row(i));
-    }
+    gather_rows(tensors.features, ls.active, out);
     return;
   }
   store_.get(layer, k, owner_block_);
@@ -419,8 +389,8 @@ const Matrix& ShardedGcnEngine::refresh(const GraphTensors& tensors) {
       }
       if (done + m == layer_count) {
         // owner_block_ holds the owners' E_D; the head clobbers it.
-        scatter_to_nodes(tensors, model_->fc_head(owner_block_, compact_out_),
-                         partition_.shard(k).owners, logits_);
+        scatter_rows(model_->fc_head(owner_block_, compact_out_),
+                     partition_.shard(k).owners, logits_);
       }
     }
     done += m;
@@ -490,12 +460,11 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   if (dirty.empty()) return logits_;
 
   // Group the dirty rows by owning shard; per shard, keep the global
-  // compute rows ascending plus their positions in the active list and
+  // rows ascending plus their positions in the active list and
   // in the owner block.
   std::vector<std::vector<std::uint32_t>> dirty_global(shard_count);
   for (const NodeId v : dirty) {
-    const std::uint32_t row = tensors.row_of(v);
-    dirty_global[partition_.owner_of(row)].push_back(row);
+    dirty_global[partition_.owner_of(v)].push_back(v);
   }
   std::vector<std::vector<std::uint32_t>> dirty_local(shard_count);
   std::vector<std::vector<std::uint32_t>> dirty_owner_pos(shard_count);
@@ -561,8 +530,8 @@ const Matrix& ShardedGcnEngine::update(const GraphTensors& tensors,
   for (const std::size_t k : dirty_shards) {
     store_.get(static_cast<int>(layer_count), k, owner_block_);
     gather_rows(owner_block_, dirty_owner_pos[k], compact_out_);
-    scatter_to_nodes(tensors, model_->fc_head(compact_out_, owner_block_),
-                     dirty_global[k], logits_);
+    scatter_rows(model_->fc_head(compact_out_, owner_block_), dirty_global[k],
+                 logits_);
   }
   return logits_;
 }

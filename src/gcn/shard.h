@@ -3,7 +3,7 @@
 //
 // The monolithic engines hold every per-layer embedding E_0..E_D for the
 // whole graph in memory at once. ShardedGcnEngine instead partitions the
-// compute rows into K shards (graph/partition.h) and walks them one at a
+// graph rows into K shards (graph/partition.h) and walks them one at a
 // time: for each shard it gathers the owner + halo embeddings, runs up to
 // D aggregation layers on the shard-local sub-matrices, and scatters the
 // owner results back out — so only one shard's tensors are ever resident.
@@ -19,7 +19,7 @@
 // the global CSR with each row's nonzero order preserved
 // (CsrMatrix::from_parts), and a row-set layer step reproduces the
 // all-rows bits — so sharded logits equal GcnModel::infer bit-for-bit for
-// any K, halo depth, thread count, or reorder policy.
+// any K, halo depth or thread count.
 //
 // Round structure: with halo depth D and L encoder layers, a full forward
 // runs ceil(L / D) rounds. Within a round of m <= D layers a shard
@@ -104,7 +104,6 @@ struct ShardedGcnOptions {
   /// round. Deeper halos trade larger shard working sets for fewer halo
   /// exchanges. Independent of the model depth (rounds repeat).
   int halo = 1;
-  PartitionStrategy strategy = PartitionStrategy::kContiguous;
   /// Non-empty: spill off-shard blocks to artifact files under this
   /// directory instead of keeping them in memory (true out-of-core mode).
   std::string spill_dir;

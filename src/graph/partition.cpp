@@ -70,39 +70,23 @@ GraphPartition GraphPartition::build(const CsrMatrix& pred,
     throw Error(ErrorKind::kUsage,
                 "GraphPartition::build: halo depth out of range");
   }
-  if (options.strategy == PartitionStrategy::kByKey &&
-      (options.order_key == nullptr || options.order_key->size() != n)) {
-    throw Error(ErrorKind::kUsage,
-                "GraphPartition::build: kByKey needs an n-sized order_key");
-  }
 
   GraphPartition partition;
   partition.halo_ = options.halo;
-  partition.strategy_ = options.strategy;
   const std::size_t shard_count = std::max<std::size_t>(
       1, std::min(options.shards, std::max<std::size_t>(1, n)));
   partition.shards_.resize(shard_count);
   partition.owner_of_.assign(n, 0);
 
-  // Owner assignment: chunk either the identity order or the key-sorted
-  // order into balanced contiguous runs, then store each shard's owners
-  // ascending (the merge-based gathers downstream rely on sorted lists).
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  if (options.strategy == PartitionStrategy::kByKey) {
-    const std::vector<float>& key = *options.order_key;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return key[a] < key[b];
-                     });
-  }
+  // Owner assignment: balanced contiguous runs of rows, each ascending
+  // (the merge-based gathers downstream rely on sorted lists).
   for (std::size_t k = 0; k < shard_count; ++k) {
     const std::size_t begin = n * k / shard_count;
     const std::size_t end = n * (k + 1) / shard_count;
     Shard& shard = partition.shards_[k];
-    shard.owners.assign(order.begin() + static_cast<std::ptrdiff_t>(begin),
-                        order.begin() + static_cast<std::ptrdiff_t>(end));
-    std::sort(shard.owners.begin(), shard.owners.end());
+    shard.owners.resize(end - begin);
+    std::iota(shard.owners.begin(), shard.owners.end(),
+              static_cast<std::uint32_t>(begin));
     for (const std::uint32_t row : shard.owners) {
       partition.owner_of_[row] = static_cast<std::uint32_t>(k);
     }

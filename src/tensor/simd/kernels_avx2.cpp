@@ -24,8 +24,7 @@
 namespace gcnt {
 // Scalar tails use std::fmaf so an element gets the same single-rounded
 // contraction whether a tile/loop boundary lands it in a vector lane or
-// in the tail — this is what keeps SpMM bitwise identical across column
-// tile widths on this target.
+// in the tail, so results never depend on where a boundary falls.
 namespace {
 
 void avx2_axpy(float* y, const float* x, float a, std::size_t n) {

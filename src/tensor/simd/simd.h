@@ -31,9 +31,9 @@
 //
 // Determinism contract (see docs/API.md "SIMD backend"):
 //   * For a FIXED target, every kernel built on these ops is bitwise
-//     deterministic across thread counts, SpMM tile widths, GEMM tiles,
-//     and runs — vector lanes map one-to-one onto output elements, so no
-//     fp32 op reassociates a sum.
+//     deterministic across thread counts, GEMM tiles, and runs — vector
+//     lanes map one-to-one onto output elements, so no fp32 op
+//     reassociates a sum.
 //   * ACROSS targets the fp32 results differ within a small tolerance:
 //     the AVX2/AVX-512 ops contract multiply-add pairs to FMA (one
 //     rounding instead of two). AVX2 and AVX-512 are bitwise identical.

@@ -1,9 +1,6 @@
 #include "tensor/sparse.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -22,20 +19,6 @@ namespace {
 // the work runs inline on the calling thread.
 constexpr std::size_t kMinParallelRows = 128;
 constexpr std::size_t kMinParallelNnz = 1 << 15;
-
-// 0 = no programmatic override (fall back to GCNT_SPMM_TILE / untiled).
-std::atomic<std::size_t> tile_override{0};
-
-std::size_t env_tile_cols() {
-  static const std::size_t cached = [] {
-    const char* env = std::getenv("GCNT_SPMM_TILE");
-    if (env == nullptr) return std::numeric_limits<std::size_t>::max();
-    const long parsed = std::strtol(env, nullptr, 10);
-    return parsed > 0 ? static_cast<std::size_t>(parsed)
-                      : std::numeric_limits<std::size_t>::max();
-  }();
-  return cached;
-}
 
 /// Parallel occurrence count: counts[i + 1] = #occurrences of i in `index`.
 /// Per-block histograms reduced in fixed block order keep the result (and
@@ -95,15 +78,6 @@ void grow_to(std::vector<T>& v, std::size_t n, T fill = T{}) {
 }
 
 }  // namespace
-
-std::size_t spmm_tile_cols() {
-  const std::size_t configured = tile_override.load(std::memory_order_relaxed);
-  return configured != 0 ? configured : env_tile_cols();
-}
-
-void set_spmm_tile_cols(std::size_t n) {
-  tile_override.store(n, std::memory_order_relaxed);
-}
 
 void CooMatrix::add_checked(std::uint32_t r, std::uint32_t c, float value) {
   if (r >= rows || c >= cols) {
@@ -199,28 +173,21 @@ void CsrMatrix::spmm(const Matrix& dense, Matrix& out, float alpha,
     }
     out.scale(beta);
   }
-  // Row-blocked across the kernel pool, column-tiled within each block:
-  // each output row is produced by exactly one block, and each output
-  // element accumulates its nonzeros in fixed ascending-k order, so the
-  // result is bitwise identical for any thread count *and* any tile
-  // width. A tile bounds the slice of every gathered dense row touched
-  // per pass, keeping the high-reuse rows resident in cache when the
-  // dense operand is wide.
-  const std::size_t tile = std::min(spmm_tile_cols(), n);
+  // Row-blocked across the kernel pool: each output row is produced by
+  // exactly one block, and each output element accumulates its nonzeros
+  // in fixed ascending-k order, so the result is bitwise identical for
+  // any thread count.
   const SimdOps& ops = simd_ops();
   parallel_blocks(
       rows_, kMinParallelRows,
       [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j0 = 0; j0 < n; j0 += tile) {
-          const std::size_t j1 = std::min(n, j0 + tile);
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            float* orow = out.row(r);
-            for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-              GCNT_DEBUG_ASSERT(col_index_[k] < cols_,
-                                "spmm: column index out of range");
-              const float av = alpha * values_[k];
-              ops.axpy(orow + j0, dense.row(col_index_[k]) + j0, av, j1 - j0);
-            }
+        for (std::size_t r = row_begin; r < row_end; ++r) {
+          float* orow = out.row(r);
+          for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+            GCNT_DEBUG_ASSERT(col_index_[k] < cols_,
+                              "spmm: column index out of range");
+            const float av = alpha * values_[k];
+            ops.axpy(orow, dense.row(col_index_[k]), av, n);
           }
         }
       });
@@ -314,9 +281,10 @@ CsrMatrix CsrMatrix::transpose() const {
   return t;
 }
 
-void CsrMatrix::apply_appended(const CooMatrix& tail, CsrMatrix& transposed) {
+void CsrMatrix::apply_appended(const CooMatrix& coo, std::size_t first,
+                               CsrMatrix& transposed) {
   GCNT_KERNEL_SCOPE("csr_apply_appended");
-  if (tail.rows < rows_ || tail.cols < cols_) {
+  if (coo.rows < rows_ || coo.cols < cols_) {
     throw std::invalid_argument("CsrMatrix::apply_appended: shape shrinks");
   }
   if (transposed.rows_ != cols_ || transposed.cols_ != rows_ ||
@@ -324,33 +292,36 @@ void CsrMatrix::apply_appended(const CooMatrix& tail, CsrMatrix& transposed) {
     throw std::invalid_argument(
         "CsrMatrix::apply_appended: transposed form does not match");
   }
-  checked_index32(tail.rows, "CsrMatrix::apply_appended: row count");
-  checked_index32(tail.cols, "CsrMatrix::apply_appended: column count");
-  checked_index32(nnz() + tail.nnz(),
-                  "CsrMatrix::apply_appended: nonzero count");
+  if (first > coo.nnz()) {
+    throw std::invalid_argument(
+        "CsrMatrix::apply_appended: first tuple past the list");
+  }
+  checked_index32(coo.rows, "CsrMatrix::apply_appended: row count");
+  checked_index32(coo.cols, "CsrMatrix::apply_appended: column count");
+  checked_index32(coo.nnz(), "CsrMatrix::apply_appended: nonzero count");
 
-  // The tuples by row, append order kept within a row (from_coo's
+  // The appended tuples by row, append order kept within a row (from_coo's
   // buckets). Each one adds into the entry its row already holds, else
-  // into the entry an earlier tuple of this tail added, else becomes a new
+  // into the entry an earlier appended tuple added, else becomes a new
   // entry at the end of its row: from_coo's merge, summed in the same
   // order.
-  std::vector<std::uint32_t> order(tail.nnz());
-  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> order(coo.nnz() - first);
+  std::iota(order.begin(), order.end(), static_cast<std::uint32_t>(first));
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return tail.row_index[a] < tail.row_index[b];
+                     return coo.row_index[a] < coo.row_index[b];
                    });
   std::vector<Entry> own;
   std::size_t row_start = 0;  // the current row's first entry in `own`
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::uint32_t r = tail.row_index[order[i]];
-    const std::uint32_t c = tail.col_index[order[i]];
-    const float value = tail.values[order[i]];
-    if (r >= tail.rows || c >= tail.cols) {
+    const std::uint32_t r = coo.row_index[order[i]];
+    const std::uint32_t c = coo.col_index[order[i]];
+    const float value = coo.values[order[i]];
+    if (r >= coo.rows || c >= coo.cols) {
       throw std::out_of_range(
           "CsrMatrix::apply_appended: coordinate out of range");
     }
-    if (i == 0 || r != tail.row_index[order[i - 1]]) row_start = own.size();
+    if (i == 0 || r != coo.row_index[order[i - 1]]) row_start = own.size();
     const std::size_t row_end = r < rows_ ? row_ptr_[r + 1] : 0;
     std::size_t slot = r < rows_ ? row_ptr_[r] : 0;
     while (slot < row_end && col_index_[slot] != c) ++slot;
@@ -384,8 +355,8 @@ void CsrMatrix::apply_appended(const CooMatrix& tail, CsrMatrix& transposed) {
   std::sort(flipped.begin(), flipped.end(), [](const Entry& a, const Entry& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
-  insert_entries(tail.rows, tail.cols, own, false);
-  transposed.insert_entries(tail.cols, tail.rows, flipped, true);
+  insert_entries(coo.rows, coo.cols, own, false);
+  transposed.insert_entries(coo.cols, coo.rows, flipped, true);
 }
 
 void CsrMatrix::insert_entries(std::size_t rows, std::size_t cols,

@@ -94,13 +94,9 @@ class CsrMatrix {
 
   /// out = this * dense (+ beta * out). dense.rows() must equal cols().
   ///
-  /// Cache blocking: the dense operand is processed in column tiles of
-  /// spmm_tile_cols() (row blocks come from the kernel-pool BlockPlan), so
-  /// each sparse row's gathered dense rows touch at most one tile-width
-  /// slice at a time. Every output element still accumulates its nonzeros
-  /// in ascending-k order, so the result is bitwise identical for any tile
-  /// width and any thread count — one tile reproduces the untiled kernel
-  /// exactly.
+  /// Rows are blocked across the kernel pool (BlockPlan) and every output
+  /// element accumulates its nonzeros in ascending-k order, so the result
+  /// is bitwise identical for any thread count.
   void spmm(const Matrix& dense, Matrix& out, float alpha = 1.0f,
             float beta = 0.0f) const;
 
@@ -117,17 +113,20 @@ class CsrMatrix {
   CsrMatrix transpose() const;
 
   /// Applies COO tuples appended after a build, in place and bitwise
-  /// equal to a rebuild. On entry *this == from_coo(coo) and `transposed`
-  /// == transpose(); `tail` holds the tuples appended to coo since then,
-  /// in append order, with coo's new (not smaller) shape. On return *this
-  /// == from_coo(coo + tail) and `transposed` == its transpose: a tuple
-  /// repeating a coordinate adds into that entry's slot, a new one goes
-  /// to the end of its row here and to its ascending place in the
-  /// transposed row, new rows start empty. Cost: one backward shift per
-  /// touched row, O(nnz + rows) moved, plus O(row length) per tuple.
-  /// Throws std::invalid_argument on a shrinking or inconsistent shape,
-  /// std::out_of_range on a coordinate outside tail's shape.
-  void apply_appended(const CooMatrix& tail, CsrMatrix& transposed);
+  /// equal to a rebuild. On entry *this == from_coo of coo's first
+  /// `first` tuples and `transposed` == transpose(); the tuples [first,
+  /// coo.nnz()) are the ones appended since then, in append order, and
+  /// coo's shape is the new (not smaller) one. On return *this ==
+  /// from_coo(coo) and `transposed` == its transpose: a tuple repeating a
+  /// coordinate adds into that entry's slot, a new one goes to the end of
+  /// its row here and to its ascending place in the transposed row, new
+  /// rows start empty. Cost: one backward shift per touched row, O(nnz +
+  /// rows) moved, plus O(row length) per tuple. Throws
+  /// std::invalid_argument on a shrinking or inconsistent shape or a
+  /// `first` past coo.nnz(), std::out_of_range on a coordinate outside
+  /// coo's shape.
+  void apply_appended(const CooMatrix& coo, std::size_t first,
+                      CsrMatrix& transposed);
 
  private:
   struct Entry {
@@ -147,14 +146,5 @@ class CsrMatrix {
   std::vector<std::uint32_t> col_index_;
   std::vector<float> values_;
 };
-
-/// Resolved dense-column tile width for CsrMatrix::spmm (always >= 1).
-/// Resolution order: set_spmm_tile_cols override > GCNT_SPMM_TILE
-/// environment (read once) > untiled default (SIZE_MAX, i.e. one tile).
-std::size_t spmm_tile_cols();
-
-/// Overrides the SpMM column tile width (0 reverts to GCNT_SPMM_TILE /
-/// the untiled default). Tiling never changes results — only locality.
-void set_spmm_tile_cols(std::size_t n);
 
 }  // namespace gcnt

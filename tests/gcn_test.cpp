@@ -816,59 +816,5 @@ TEST(ForwardWorkspace, SteadyStateInferAllocatesNothing) {
   EXPECT_EQ(ws.poll_allocations(), 0u) << "steady state must not allocate";
 }
 
-TEST(GraphReorder, RcmInferenceBitwiseMatchesUnordered) {
-  GeneratorConfig config;
-  config.seed = 57;
-  config.target_gates = 1500;
-  config.primary_inputs = 24;
-  config.primary_outputs = 10;
-  config.flip_flops = 16;
-  const Netlist n = generate_circuit(config);
-
-  set_graph_reorder(GraphReorder::kOff);
-  const auto plain = build_graph_tensors(n);
-  set_graph_reorder(GraphReorder::kRcm);
-  const auto reordered = build_graph_tensors(n);
-  reset_graph_reorder();
-
-  ASSERT_FALSE(plain.reordered());
-  ASSERT_TRUE(reordered.reordered());
-  // The RCM permutation is a genuine (non-identity) bijection.
-  const std::size_t nodes = reordered.node_count();
-  ASSERT_EQ(reordered.compute_row.size(), nodes);
-  ASSERT_EQ(reordered.compute_node.size(), nodes);
-  bool nontrivial = false;
-  for (std::uint32_t p = 0; p < nodes; ++p) {
-    ASSERT_EQ(reordered.compute_row[reordered.compute_node[p]], p);
-    nontrivial |= reordered.compute_node[p] != p;
-  }
-  EXPECT_TRUE(nontrivial);
-  // Every API boundary stays node-ordered — only the CSR forms permute.
-  EXPECT_EQ(plain.features, reordered.features);
-  EXPECT_EQ(plain.labels, reordered.labels);
-
-  // Reordering is invisible bit-for-bit: the permuted CSR preserves each
-  // row's accumulation order, and the logits scatter back to node order.
-  const GcnModel model(tiny_config(2));
-  const Matrix baseline = model.infer(plain);
-  EXPECT_EQ(baseline, model.infer(reordered));
-
-  set_kernel_threads(8);
-  EXPECT_EQ(baseline, model.infer(reordered)) << "thread invariance";
-  set_kernel_threads(0);
-}
-
-TEST(GraphReorder, GatherScatterRoundTrip) {
-  set_graph_reorder(GraphReorder::kRcm);
-  const auto tensors = build_graph_tensors(tiny_circuit());
-  reset_graph_reorder();
-  ASSERT_TRUE(tensors.reordered());
-
-  Matrix compute_major, node_major;
-  gather_compute_rows(tensors, tensors.features, compute_major);
-  scatter_compute_rows(tensors, compute_major, node_major);
-  EXPECT_EQ(tensors.features, node_major);
-}
-
 }  // namespace
 }  // namespace gcnt

@@ -1,7 +1,7 @@
 // Incremental dirty-cone inference (gcn/incremental.h): the equivalence
 // suite pinning the bit-identity claim — incremental logits must equal a
 // full GcnModel::infer after 1, 8, and 64 OP insertions, across thread
-// counts and SpMM tile widths — plus DirtyConeTracker unit tests and the
+// counts — plus DirtyConeTracker unit tests and the
 // OPI/CPI end-to-end incremental-vs-full comparison.
 
 #include <gtest/gtest.h>
@@ -9,9 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/parallel.h"
@@ -160,43 +158,36 @@ TEST(Incremental, RefreshMatchesInferBitwise) {
             model.predict_positive_probability(tensors));
 }
 
-/// The core equivalence matrix from the issue: incremental logits ==
-/// full-infer logits after 1, 8, and 64 OP insertions, for GCNT_THREADS in
-/// {1, 8} and SpMM tile widths {one tile, many tiles}.
+/// The core equivalence matrix: incremental logits == full-infer logits
+/// after 1, 8, and 64 OP insertions, for GCNT_THREADS in {1, 8}.
 TEST(Incremental, UpdateMatchesFullInferAcrossThreadsAndTiles) {
   for (const std::size_t insertions : {1u, 8u, 64u}) {
     for (const int threads : {1, 8}) {
-      for (const std::size_t tile :
-           {std::numeric_limits<std::size_t>::max(), std::size_t{3}}) {
-        set_kernel_threads(threads);
-        set_spmm_tile_cols(tile);
+      set_kernel_threads(threads);
 
-        Netlist netlist = test_netlist(31);
-        ScoapMeasures scoap = compute_scoap(netlist);
-        std::vector<std::uint32_t> levels = netlist.logic_levels();
-        GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
-        const GcnModel model(small_config());
-        // Fallback disabled: force the incremental path even at 64
-        // insertions so the subset kernels themselves are what is tested.
-        IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
-        engine.refresh(tensors);
+      Netlist netlist = test_netlist(31);
+      ScoapMeasures scoap = compute_scoap(netlist);
+      std::vector<std::uint32_t> levels = netlist.logic_levels();
+      GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
+      const GcnModel model(small_config());
+      // Fallback disabled: force the incremental path even at 64
+      // insertions so the subset kernels themselves are what is tested.
+      IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
+      engine.refresh(tensors);
 
-        DirtyConeTracker tracker;
-        const auto targets = op_targets(netlist, insertions);
-        ASSERT_EQ(targets.size(), insertions);
-        insert_ops(netlist, tensors, scoap, levels, targets, tracker);
+      DirtyConeTracker tracker;
+      const auto targets = op_targets(netlist, insertions);
+      ASSERT_EQ(targets.size(), insertions);
+      insert_ops(netlist, tensors, scoap, levels, targets, tracker);
 
-        const auto dirty = tracker.affected(tensors, model.config().depth);
-        engine.update(tensors, dirty);
-        EXPECT_FALSE(engine.last_was_full());
-        EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
-        EXPECT_EQ(engine.logits(), model.infer(tensors))
-            << "insertions=" << insertions << " threads=" << threads
-            << " tile=" << tile;
+      const auto dirty = tracker.affected(tensors, model.config().depth);
+      engine.update(tensors, dirty);
+      EXPECT_FALSE(engine.last_was_full());
+      EXPECT_EQ(engine.last_dirty_rows(), dirty.size());
+      EXPECT_EQ(engine.logits(), model.infer(tensors))
+          << "insertions=" << insertions << " threads=" << threads;
 
-        set_kernel_threads(0);
-        set_spmm_tile_cols(0);
-      }
+      set_kernel_threads(0);
     }
   }
 }
@@ -330,46 +321,6 @@ TEST(Incremental, CpiFlowIdenticalWithAndWithoutIncremental) {
             incremental.final_positive_predictions);
 }
 
-TEST(Incremental, RcmReorderingKeepsIncrementalBitIdentical) {
-  // Under RCM reordering the cached embeddings live in compute row order
-  // and appended nodes extend the permutation with an identity tail; the
-  // incremental path must stay bit-identical to a full infer, which in
-  // turn must match a never-reordered run.
-  set_graph_reorder(GraphReorder::kRcm);
-  Netlist netlist = test_netlist(51, 1200);
-  ScoapMeasures scoap = compute_scoap(netlist);
-  std::vector<std::uint32_t> levels = netlist.logic_levels();
-  GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
-  reset_graph_reorder();
-  ASSERT_TRUE(tensors.reordered());
-
-  const GcnModel model(small_config(2));
-  IncrementalGcnEngine engine(model, IncrementalGcnOptions{2.0});
-  engine.refresh(tensors);
-  EXPECT_EQ(engine.logits(), model.infer(tensors));
-
-  DirtyConeTracker tracker;
-  const auto targets = op_targets(netlist, 12);
-  ASSERT_EQ(targets.size(), 12u);
-  insert_ops(netlist, tensors, scoap, levels, targets, tracker);
-  ASSERT_TRUE(tensors.reordered());  // identity-tail extension survived
-
-  const auto dirty = tracker.affected(tensors, model.config().depth);
-  engine.update(tensors, dirty);
-  EXPECT_FALSE(engine.last_was_full());
-  EXPECT_EQ(engine.logits(), model.infer(tensors));
-
-  // Same graph rebuilt without any reordering: logits agree bitwise.
-  GraphTensors plain = tensors;
-  plain.compute_row.clear();
-  plain.compute_node.clear();
-  set_graph_reorder(GraphReorder::kOff);
-  plain.rebuild_csr();
-  reset_graph_reorder();
-  ASSERT_FALSE(plain.reordered());
-  EXPECT_EQ(engine.logits(), model.infer(plain));
-}
-
 /// Bitwise comparison of two CSR matrices (shape, row_ptr, col_index and
 /// the bits of every value).
 void expect_same_csr(const CsrMatrix& got, const CsrMatrix& want,
@@ -385,19 +336,10 @@ void expect_same_csr(const CsrMatrix& got, const CsrMatrix& want,
             0);
 }
 
-/// All four CSR forms against from_coo + transpose of the full COO lists,
-/// mapped into the tensors' compute order.
+/// All four CSR forms against from_coo + transpose of the full COO lists.
 void expect_full_build(const GraphTensors& tensors) {
-  const auto full = [&](const CooMatrix& coo) {
-    CooMatrix mapped(coo.rows, coo.cols);
-    for (std::size_t k = 0; k < coo.nnz(); ++k) {
-      mapped.add(tensors.row_of(coo.row_index[k]),
-                 tensors.row_of(coo.col_index[k]), coo.values[k]);
-    }
-    return CsrMatrix::from_coo(mapped);
-  };
-  const CsrMatrix pred = full(tensors.pred_coo);
-  const CsrMatrix succ = full(tensors.succ_coo);
+  const CsrMatrix pred = CsrMatrix::from_coo(tensors.pred_coo);
+  const CsrMatrix succ = CsrMatrix::from_coo(tensors.succ_coo);
   expect_same_csr(tensors.pred, pred, "pred");
   expect_same_csr(tensors.succ, succ, "succ");
   expect_same_csr(tensors.pred_t, pred.transpose(), "pred_t");
@@ -408,19 +350,16 @@ std::uint64_t full_rebuilds() {
   return StatsRegistry::instance().counter("graph.csr_full_rebuilds").value();
 }
 
-class CsrAppend
-    : public ::testing::TestWithParam<std::tuple<GraphReorder, std::size_t>> {
+class CsrAppend : public ::testing::TestWithParam<std::size_t> {
  protected:
   void SetUp() override {
-    set_graph_reorder(std::get<0>(GetParam()));
-    set_kernel_threads(std::get<1>(GetParam()));
+    set_kernel_threads(GetParam());
     stats_were_on_ = stats_enabled();
     set_stats_enabled(true);
   }
   void TearDown() override {
     set_stats_enabled(stats_were_on_);
     set_kernel_threads(0);
-    reset_graph_reorder();
   }
 
  private:
@@ -432,8 +371,6 @@ TEST_P(CsrAppend, OpRoundsMatchFullBuild) {
   ScoapMeasures scoap = compute_scoap(netlist);
   std::vector<std::uint32_t> levels = netlist.logic_levels();
   GraphTensors tensors = build_graph_tensors(netlist, scoap, levels);
-  ASSERT_EQ(tensors.reordered(),
-            std::get<0>(GetParam()) == GraphReorder::kRcm);
   expect_full_build(tensors);
 
   const std::uint64_t full_before = full_rebuilds();
@@ -505,23 +442,6 @@ TEST_P(CsrAppend, AnythingButAnAppendTakesTheFullBuild) {
   EXPECT_EQ(full_rebuilds(), full_before + 1);
   expect_full_build(tensors);
 
-  // The permutation cleared: a reordered graph is rebuilt whole, in a
-  // recomputed order or unreordered (clearing an identity order changes
-  // nothing).
-  for (const GraphReorder reorder :
-       {std::get<0>(GetParam()), GraphReorder::kOff}) {
-    full_before = full_rebuilds();
-    const bool was_reordered = tensors.reordered();
-    tensors.compute_row.clear();
-    tensors.compute_node.clear();
-    set_graph_reorder(reorder);
-    tensors.rebuild_csr();
-    EXPECT_EQ(tensors.reordered(), reorder == GraphReorder::kRcm);
-    EXPECT_EQ(full_rebuilds(), full_before + (was_reordered ? 1 : 0));
-    expect_full_build(tensors);
-  }
-  set_graph_reorder(std::get<0>(GetParam()));
-
   // A fresh tensor assigned: its own build is the only full one, and the
   // rounds after it append again.
   tensors = build_graph_tensors(netlist);
@@ -532,16 +452,11 @@ TEST_P(CsrAppend, AnythingButAnAppendTakesTheFullBuild) {
   expect_full_build(tensors);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ReorderThreads, CsrAppend,
-    ::testing::Combine(
-        ::testing::Values(GraphReorder::kOff, GraphReorder::kRcm),
-        ::testing::Values(std::size_t{1}, std::size_t{4})),
-    [](const auto& info) {
-      const bool rcm = std::get<0>(info.param) == GraphReorder::kRcm;
-      return std::string(rcm ? "Rcm" : "Off") + "Threads" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Threads, CsrAppend,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         [](const auto& info) {
+                           return "Threads" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace gcnt

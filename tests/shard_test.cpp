@@ -1,9 +1,9 @@
 // Sharded out-of-core execution (graph/partition.h + gcn/shard.h): the
 // equivalence suite pinning the bitwise-identity claim — sharded logits
 // must equal the monolithic GcnModel::infer and IncrementalGcnEngine
-// results for every shard count, halo depth, reorder policy, and spill
-// mode — plus partition invariant tests (disjoint cover, exact D-hop halo
-// closure, owner/halo bijection, extend-after-append) and spill-store
+// results for every shard count, halo depth and spill mode — plus
+// partition invariant tests (disjoint cover, exact D-hop halo closure,
+// owner/halo bijection, extend-after-append) and spill-store
 // durability tests (artifact round-trip, corruption rejection,
 // kill-mid-spill recovery). Registered whole-binary at GCNT_THREADS 1 and
 // 8 (tests/CMakeLists.txt), mirroring the serve suite.
@@ -204,36 +204,6 @@ TEST(GraphPartition, SingleShardHasEmptyHalo) {
   EXPECT_EQ(partition.total_halo_rows(), 0u);
 }
 
-TEST(GraphPartition, ByKeyChunksTheSortedOrder) {
-  const Netlist netlist = test_netlist(24, 500);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  // Key rows by logic level (feature column 0): each shard should hold a
-  // band of topological depth.
-  std::vector<float> key(tensors.node_count());
-  for (std::uint32_t row = 0; row < key.size(); ++row) {
-    key[row] = tensors.features.at(tensors.node_of(row), 0);
-  }
-  PartitionOptions options;
-  options.shards = 4;
-  options.halo = 1;
-  options.strategy = PartitionStrategy::kByKey;
-  options.order_key = &key;
-  const GraphPartition partition =
-      GraphPartition::build(tensors.pred, tensors.succ, options);
-  partition.validate(tensors.pred, tensors.succ);
-  float previous_max = -1e30f;
-  for (std::size_t k = 0; k < partition.shard_count(); ++k) {
-    float lo = 1e30f;
-    float hi = -1e30f;
-    for (const std::uint32_t row : partition.shard(k).owners) {
-      lo = std::min(lo, key[row]);
-      hi = std::max(hi, key[row]);
-    }
-    EXPECT_GE(lo, previous_max - 1e-6f) << "shard " << k;
-    previous_max = hi;
-  }
-}
-
 TEST(GraphPartition, RejectsBadOptions) {
   const Netlist netlist = test_netlist(25, 100);
   const GraphTensors tensors = build_graph_tensors(netlist);
@@ -245,12 +215,6 @@ TEST(GraphPartition, RejectsBadOptions) {
             ErrorKind::kUsage);
   options.shards = 2;
   options.halo = 0;
-  EXPECT_EQ(kind_of([&] {
-              GraphPartition::build(tensors.pred, tensors.succ, options);
-            }),
-            ErrorKind::kUsage);
-  options.halo = 1;
-  options.strategy = PartitionStrategy::kByKey;  // no key provided
   EXPECT_EQ(kind_of([&] {
               GraphPartition::build(tensors.pred, tensors.succ, options);
             }),
@@ -420,51 +384,20 @@ TEST(ShardedForward, BitIdenticalAcrossShardAndHaloSweep) {
   }
 }
 
-TEST(ShardedForward, BitIdenticalUnderRcmReorder) {
-  set_graph_reorder(GraphReorder::kRcm);
-  const Netlist netlist = test_netlist(32);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  ASSERT_TRUE(tensors.reordered());
-  GcnModel model(small_config());
-  const Matrix reference = model.infer(tensors);
-  for (const std::size_t shards : {2u, 4u}) {
-    for (const int halo : {1, 2}) {
-      ShardedGcnOptions options;
-      options.shards = shards;
-      options.halo = halo;
-      ShardedGcnEngine engine(model, options);
-      engine.refresh(tensors);
-      EXPECT_EQ(engine.logits(), reference)
-          << "shards=" << shards << " halo=" << halo;
-    }
-  }
-  reset_graph_reorder();
-}
-
-TEST(ShardedForward, ByKeyStrategyIsIdenticalToo) {
-  const Netlist netlist = test_netlist(33, 1000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  GcnModel model(small_config());
-  const Matrix reference = model.infer(tensors);
-  ShardedGcnOptions options;
-  options.shards = 3;
-  options.halo = 2;
-  options.strategy = PartitionStrategy::kByKey;
-  ShardedGcnEngine engine(model, options);
-  engine.refresh(tensors);
-  EXPECT_EQ(engine.logits(), reference);
-}
-
 TEST(ShardedForward, SpillToDiskIsIdenticalAndEnveloped) {
-  const Netlist netlist = test_netlist(34, 1000);
-  const GraphTensors tensors = build_graph_tensors(netlist);
-  GcnModel model(small_config());
+  Netlist netlist = test_netlist(34, 1000);
+  GraphTensors tensors = build_graph_tensors(netlist);
+  ScoapMeasures scoap = compute_scoap(netlist);
+  std::vector<std::uint32_t> levels = netlist.logic_levels();
+  const GcnConfig config = small_config();
+  GcnModel model(config);
   const Matrix reference = model.infer(tensors);
   ShardedGcnOptions options;
   options.shards = 4;
   options.halo = 1;
   const ScratchDir spill("gcnt_shard_spill");
   options.spill_dir = spill.path;
+  options.full_fallback_fraction = 0.9;
   ShardedGcnEngine engine(model, options);
   engine.refresh(tensors);
   EXPECT_EQ(engine.logits(), reference);
@@ -472,6 +405,19 @@ TEST(ShardedForward, SpillToDiskIsIdenticalAndEnveloped) {
   EXPECT_GT(engine.store().block_count(), 0u);
   // Every spilled block is a checksummed artifact (common/artifact.h).
   EXPECT_TRUE(is_artifact_file(engine.store().block_path(1, 0)));
+
+  // Incremental updates read and rewrite the spilled blocks exactly.
+  std::size_t skip = 10;
+  for (const std::size_t batch : {2u, 8u}) {
+    DirtyConeTracker tracker;
+    const std::vector<NodeId> targets = op_targets(netlist, batch, skip);
+    skip += 30;
+    insert_ops(netlist, tensors, scoap, levels, targets, tracker);
+    const std::vector<NodeId> dirty = tracker.affected(tensors, config.depth);
+    engine.update(tensors, dirty);
+    EXPECT_FALSE(engine.last_was_full());
+    EXPECT_EQ(engine.logits(), model.infer(tensors)) << "batch=" << batch;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -514,38 +460,6 @@ TEST(ShardedIncremental, MatchesMonolithicAcrossInsertionBatches) {
     EXPECT_EQ(sharded.logits(), model.infer(tensors)) << "batch=" << batch;
     sharded.partition().validate(tensors.pred, tensors.succ);
   }
-}
-
-TEST(ShardedIncremental, RcmAndSpillTogetherStayIdentical) {
-  set_graph_reorder(GraphReorder::kRcm);
-  Netlist netlist = test_netlist(42);
-  GraphTensors tensors = build_graph_tensors(netlist);
-  ScoapMeasures scoap = compute_scoap(netlist);
-  std::vector<std::uint32_t> levels = netlist.logic_levels();
-  const GcnConfig config = small_config();
-  GcnModel model(config);
-
-  ShardedGcnOptions options;
-  options.shards = 4;
-  options.halo = 1;
-  const ScratchDir spill("gcnt_shard_spill_rcm");
-  options.spill_dir = spill.path;
-  options.full_fallback_fraction = 0.9;
-  ShardedGcnEngine engine(model, options);
-  engine.refresh(tensors);
-
-  std::size_t skip = 10;
-  for (const std::size_t batch : {2u, 8u}) {
-    DirtyConeTracker tracker;
-    const std::vector<NodeId> targets = op_targets(netlist, batch, skip);
-    skip += 30;
-    insert_ops(netlist, tensors, scoap, levels, targets, tracker);
-    const std::vector<NodeId> dirty = tracker.affected(tensors, config.depth);
-    engine.update(tensors, dirty);
-    EXPECT_FALSE(engine.last_was_full());
-    EXPECT_EQ(engine.logits(), model.infer(tensors)) << "batch=" << batch;
-  }
-  reset_graph_reorder();
 }
 
 TEST(ShardedIncremental, OversizedDirtySetFallsBackToFullForward) {

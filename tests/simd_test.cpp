@@ -1,6 +1,6 @@
 // SIMD backend contract: runtime dispatch overrides, the unified GEMM
 // accumulation policy, per-target bitwise determinism across thread
-// counts and SpMM tile widths, cross-target tolerance, and the fused
+// counts, cross-target tolerance, and the fused
 // GEMM bias/ReLU epilogue (see src/tensor/simd/simd.h and docs/API.md).
 
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@ class SimdTest : public ::testing::Test {
   void TearDown() override {
     reset_simd_target();
     set_kernel_threads(0);
-    set_spmm_tile_cols(0);
   }
 };
 
@@ -291,8 +290,8 @@ TEST_F(SimdTest, GemmBitwiseInvariantAcrossThreadsPerTarget) {
   }
 }
 
-// SpMM and spmm_rows: bitwise identical per target across thread counts
-// AND tile widths; within tolerance across targets.
+// SpMM and spmm_rows: bitwise identical per target across thread counts;
+// within tolerance across targets.
 TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsAndTilesPerTarget) {
   const CsrMatrix csr = random_csr(400, 300, 4000, 77);
   const Matrix dense = random_dense(300, 96, 88);
@@ -307,29 +306,22 @@ TEST_F(SimdTest, SpmmBitwiseInvariantAcrossThreadsAndTilesPerTarget) {
     ASSERT_TRUE(set_simd_target(target));
 
     Matrix reference;
-    set_spmm_tile_cols(0);
     set_kernel_threads(1);
     csr.spmm(dense, reference);
     Matrix rows_reference;
     csr.spmm_rows(row_ids, dense, rows_reference);
 
-    for (const std::size_t tile : {std::size_t{8}, std::size_t{16},
-                                   std::size_t{64}}) {
-      for (const int threads : {1, 8}) {
-        set_spmm_tile_cols(tile);
-        set_kernel_threads(threads);
-        Matrix out;
-        csr.spmm(dense, out);
-        EXPECT_EQ(reference, out) << simd_target_name() << " tile " << tile
-                                  << " threads " << threads;
-        Matrix rows_out;
-        csr.spmm_rows(row_ids, dense, rows_out);
-        EXPECT_EQ(rows_reference, rows_out)
-            << simd_target_name() << " tile " << tile << " threads "
-            << threads;
-      }
+    for (const int threads : {1, 8}) {
+      set_kernel_threads(threads);
+      Matrix out;
+      csr.spmm(dense, out);
+      EXPECT_EQ(reference, out) << simd_target_name() << " threads "
+                                << threads;
+      Matrix rows_out;
+      csr.spmm_rows(row_ids, dense, rows_out);
+      EXPECT_EQ(rows_reference, rows_out)
+          << simd_target_name() << " threads " << threads;
     }
-    set_spmm_tile_cols(0);
     set_kernel_threads(0);
 
     // Each compact spmm_rows row reproduces the full spmm row bit-for-bit.

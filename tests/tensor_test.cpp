@@ -533,30 +533,6 @@ TEST(Coo, ReshapeGrowsButNeverShrinks) {
   EXPECT_EQ(coo.nnz(), 2u);
 }
 
-TEST(Csr, SpmmBitwiseIdenticalAcrossTileWidths) {
-  Rng rng(41);
-  const CsrMatrix csr = random_csr(400, 300, 3000, rng);
-  const Matrix x = random_matrix(300, 13, rng);  // odd width: ragged tail
-  Matrix untiled;
-  csr.spmm(x, untiled);  // default: one tile
-  for (const std::size_t tile : {std::size_t{1}, std::size_t{4},
-                                 std::size_t{13}, std::size_t{64}}) {
-    set_spmm_tile_cols(tile);
-    Matrix tiled;
-    csr.spmm(x, tiled);
-    set_spmm_tile_cols(0);
-    EXPECT_EQ(untiled, tiled) << "tile=" << tile;  // bitwise
-  }
-  // Tiling composed with threading is still bitwise invariant.
-  set_spmm_tile_cols(4);
-  set_kernel_threads(8);
-  Matrix tiled_parallel;
-  csr.spmm(x, tiled_parallel);
-  set_kernel_threads(0);
-  set_spmm_tile_cols(0);
-  EXPECT_EQ(untiled, tiled_parallel);
-}
-
 TEST(Csr, SpmmRowsMatchesFullSpmmRows) {
   Rng rng(43);
   const CsrMatrix csr = random_csr(500, 200, 4000, rng);
